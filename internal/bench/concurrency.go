@@ -34,18 +34,15 @@ const concurrencyStoreLatency = 100 * time.Microsecond
 // concurrencyWorkers is the Workers sweep of the figure.
 var concurrencyWorkers = []int{1, 2, 4, 8}
 
-// concurrencyCell is one Workers point of the "concurrency" figure, as
-// emitted into BENCH_N.json.
+// concurrencyCell is one Workers point of the "concurrency" figure.
 type concurrencyCell struct {
-	Workers        int     `json:"workers"`
-	EpochSize      int     `json:"epoch_size"`
-	Clients        int     `json:"clients"`
-	Stmts          int     `json:"stmts"`
-	ElapsedMS      float64 `json:"elapsed_ms"`
-	StmtsPerSec    float64 `json:"stmts_per_sec"`
-	Speedup        float64 `json:"speedup_vs_serial"`
-	DummyShare     float64 `json:"dummy_share"`
-	StoreLatencyUS float64 `json:"store_latency_us"`
+	Workers     int
+	Clients     int
+	Stmts       int
+	Elapsed     time.Duration
+	StmtsPerSec float64
+	Speedup     float64
+	DummyShare  float64
 }
 
 // concurrencyPoint measures served read-heavy throughput at one worker
@@ -136,14 +133,12 @@ func concurrencyPoint(o Options, workers, rows, perClient int) (concurrencyCell,
 	real, dummy := st.Real-base.Real, st.Dummy-base.Dummy
 	total := clients * perClient
 	return concurrencyCell{
-		Workers:        workers,
-		EpochSize:      epochSize,
-		Clients:        clients,
-		Stmts:          total,
-		ElapsedMS:      float64(elapsed.Nanoseconds()) / 1e6,
-		StmtsPerSec:    float64(total) / elapsed.Seconds(),
-		DummyShare:     float64(dummy) / float64(real+dummy),
-		StoreLatencyUS: float64(concurrencyStoreLatency.Microseconds()),
+		Workers:     workers,
+		Clients:     clients,
+		Stmts:       total,
+		Elapsed:     elapsed,
+		StmtsPerSec: float64(total) / elapsed.Seconds(),
+		DummyShare:  float64(dummy) / float64(real+dummy),
 	}, nil
 }
 
@@ -179,7 +174,7 @@ func RunConcurrency(o Options) error {
 	tp := newTable("Workers", "Clients", "Stmts", "Elapsed", "Stmts/sec", "Speedup", "Dummy share")
 	for _, c := range cells {
 		tp.addf(c.Workers, c.Clients, c.Stmts,
-			time.Duration(c.ElapsedMS*float64(time.Millisecond)).Round(time.Millisecond),
+			c.Elapsed.Round(time.Millisecond),
 			fmt.Sprintf("%.0f", c.StmtsPerSec),
 			fmt.Sprintf("%.2fx", c.Speedup),
 			fmt.Sprintf("%.0f%%", 100*c.DummyShare))

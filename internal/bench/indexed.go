@@ -15,20 +15,18 @@ import (
 // point and small-range queries answered by a full flat scan versus the
 // ORAM-backed index, as the table grows. The crossover is the planner's
 // whole reason to exist — at small n the flat pass wins, at large n the
-// O(log² n) index does — and the point-lookup speedup at the largest
-// size is the number BENCH_8.json pins for future PRs.
+// O(log² n) index does.
 
 // indexedSizes returns the figure's size sweep (paper counts, scaled).
 func indexedSizes(o Options) []int {
 	return []int{o.n(1000), o.n(10000), o.n(100000)}
 }
 
-// indexedCell is one measured (operation, size, method) point.
+// indexedCell is one measured (operation, method) point at one size.
 type indexedCell struct {
-	Op      string  `json:"op"`     // "point" | "range1pct"
-	Rows    int     `json:"rows"`   // table size n
-	Method  string  `json:"method"` // "flat" | "indexed"
-	NsPerOp float64 `json:"ns_per_op"`
+	Op     string // "point" | "range1pct"
+	Method string // "flat" | "indexed"
+	PerOp  time.Duration
 }
 
 // indexedPair builds the two storage representations of the same n-row
@@ -89,8 +87,7 @@ func measureIndexed(o Options, n int) ([]indexedCell, error) {
 
 	var cells []indexedCell
 	add := func(op, method string, d time.Duration) {
-		cells = append(cells, indexedCell{Op: op, Rows: n, Method: method,
-			NsPerOp: float64(d.Nanoseconds())})
+		cells = append(cells, indexedCell{Op: op, Method: method, PerOp: d})
 	}
 
 	// Flat point read: one full pass, matching on the key column.
@@ -150,7 +147,7 @@ func measureIndexed(o Options, n int) ([]indexedCell, error) {
 func indexedNs(cells []indexedCell, op, method string) time.Duration {
 	for _, c := range cells {
 		if c.Op == op && c.Method == method {
-			return time.Duration(c.NsPerOp)
+			return c.PerOp
 		}
 	}
 	return 0

@@ -32,6 +32,18 @@ func trow(k int64) table.Row {
 	return table.Row{table.Int(k), table.Str(fmt.Sprintf("p%d", k))}
 }
 
+// packings are the record-block packing factors the tree cases run at:
+// the paper's one row per block, small packings that put record-block
+// and leaf boundaries out of step, and the default.
+var packings = []int{1, 2, 3, 4, DefaultRowsPerBlock}
+
+// forPackings runs f as one subtest per packing factor.
+func forPackings(t *testing.T, f func(t *testing.T, r int)) {
+	for _, r := range packings {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) { f(t, r) })
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	e := enclave.MustNew(enclave.Config{})
 	s := tblSchema()
@@ -105,9 +117,13 @@ func TestLookupInto(t *testing.T) {
 }
 
 // TestModel runs a random op mix against a map model, exercising splits,
-// merges, duplicates, and slot reuse at a small packing factor.
+// merges, duplicates, and slot reuse at every packing factor.
 func TestModel(t *testing.T) {
-	tbl := newTable(t, 220, Options{RowsPerBlock: 3}, nil)
+	forPackings(t, testModel)
+}
+
+func testModel(t *testing.T, r int) {
+	tbl := newTable(t, 220, Options{RowsPerBlock: r}, nil)
 	rng := rand.New(rand.NewPCG(42, 42))
 	counts := map[int64]int{}
 	live := 0
@@ -153,8 +169,8 @@ func TestModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[int64]int{}
-	for _, r := range rows {
-		got[r[0].AsInt()]++
+	for _, row := range rows {
+		got[row[0].AsInt()]++
 	}
 	for k, n := range counts {
 		if got[k] != n {
@@ -216,6 +232,24 @@ func TestRangeScanOrdered(t *testing.T) {
 			t.Fatalf("position %d: key %d, want %d", i, k, 25+i)
 		}
 	}
+	if n, err := tbl.RangeScan(1000, 2000, func(table.Row) error { return nil }); n != 0 || err != nil {
+		t.Fatalf("out-of-range scan returned %d rows: %v", n, err)
+	}
+	if n, err := tbl.RangeScan(50, 20, func(table.Row) error { return nil }); n != 0 || err != nil {
+		t.Fatalf("inverted scan returned %d rows: %v", n, err)
+	}
+	rows, err := tbl.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 100 {
+		t.Fatalf("Rows returned %d rows, want 100", len(rows))
+	}
+	for i, r := range rows {
+		if r[0].AsInt() != int64(i) {
+			t.Fatalf("Rows position %d: key %d", i, r[0].AsInt())
+		}
+	}
 }
 
 func TestScanRawMatchesRangeScan(t *testing.T) {
@@ -255,61 +289,284 @@ func TestScanRawMatchesRangeScan(t *testing.T) {
 	}
 }
 
+// TestBulkLoadMatchesIncremental checks that a bulk-built tree holds
+// the same rows, in the same order, as one grown by padded inserts, at
+// every packing and at sizes from one row to several tree levels.
 func TestBulkLoadMatchesIncremental(t *testing.T) {
-	mk := func(bulk bool) []table.Row {
-		tbl := newTable(t, 200, Options{RowsPerBlock: 4}, nil)
-		rng := rand.New(rand.NewPCG(77, 77))
-		var rows []table.Row
-		for i := 0; i < 150; i++ {
-			rows = append(rows, trow(int64(rng.IntN(500))))
+	forPackings(t, func(t *testing.T, r int) {
+		for _, n := range []int{1, 5, 13, 150} {
+			mk := func(bulk bool) []table.Row {
+				tbl := newTable(t, n+50, Options{RowsPerBlock: r}, nil)
+				rng := rand.New(rand.NewPCG(uint64(n), 77))
+				var rows []table.Row
+				for i := 0; i < n; i++ {
+					rows = append(rows, trow(int64(rng.IntN(500))))
+				}
+				if bulk {
+					if err := tbl.BulkLoad(rows); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for _, row := range rows {
+						if err := tbl.Insert(row); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				out, err := tbl.Rows()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			a, b := mk(true), mk(false)
+			if len(a) != n || len(b) != n {
+				t.Fatalf("n=%d: bulk %d rows, incremental %d", n, len(a), len(b))
+			}
+			for i := range a {
+				if a[i][0].AsInt() != b[i][0].AsInt() {
+					t.Fatalf("n=%d row %d: bulk key %d, incremental %d", n, i, a[i][0].AsInt(), b[i][0].AsInt())
+				}
+			}
 		}
-		if bulk {
-			if err := tbl.BulkLoad(rows); err != nil {
+
+		// Bulk-loaded tables must keep absorbing mutations.
+		tbl := newTable(t, 200, Options{RowsPerBlock: r}, nil)
+		var rows []table.Row
+		for i := int64(0); i < 100; i++ {
+			rows = append(rows, trow(i))
+		}
+		if err := tbl.BulkLoad(rows); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(100); i < 140; i++ {
+			if err := tbl.Insert(trow(i)); err != nil {
 				t.Fatal(err)
 			}
-		} else {
-			for _, r := range rows {
-				if err := tbl.Insert(r); err != nil {
+		}
+		for i := int64(0); i < 30; i++ {
+			if ok, err := tbl.Delete(i * 2); err != nil || !ok {
+				t.Fatalf("delete %d after bulk: ok=%v err=%v", i*2, ok, err)
+			}
+		}
+		if tbl.NumRows() != 110 {
+			t.Fatalf("NumRows = %d, want 110", tbl.NumRows())
+		}
+		if n, err := tbl.RangeScan(minInt64, maxInt64, func(table.Row) error { return nil }); n != 110 || err != nil {
+			t.Fatalf("range scan found %d rows: %v", n, err)
+		}
+		seen := 0
+		if err := tbl.ScanRaw(func(table.Row) error { seen++; return nil }); err != nil || seen != 110 {
+			t.Fatalf("raw scan found %d rows: %v", seen, err)
+		}
+	})
+}
+
+// TestBulkLoadEdgeCases covers the loads BulkLoad must refuse or treat
+// as no-ops, and a bulk-built tree deleted back down to height 0.
+func TestBulkLoadEdgeCases(t *testing.T) {
+	forPackings(t, func(t *testing.T, r int) {
+		empty := newTable(t, 8, Options{RowsPerBlock: r}, nil)
+		if err := empty.BulkLoad(nil); err != nil {
+			t.Fatalf("empty bulk load: %v", err)
+		}
+		if empty.NumRows() != 0 || empty.Height() != 0 {
+			t.Fatalf("empty bulk load left rows=%d height=%d", empty.NumRows(), empty.Height())
+		}
+		if _, ok, err := empty.Lookup(1); ok || err != nil {
+			t.Fatalf("lookup after empty bulk load: ok=%v err=%v", ok, err)
+		}
+
+		nonEmpty := newTable(t, 50, Options{RowsPerBlock: r}, nil)
+		if err := nonEmpty.Insert(trow(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := nonEmpty.BulkLoad([]table.Row{trow(2)}); err == nil {
+			t.Fatal("bulk load into a non-empty table accepted")
+		}
+
+		small := newTable(t, 4, Options{RowsPerBlock: r}, nil)
+		over := make([]table.Row, 5)
+		for i := range over {
+			over[i] = trow(int64(i))
+		}
+		if err := small.BulkLoad(over); err == nil {
+			t.Fatal("over-capacity bulk load accepted")
+		}
+
+		tbl := newTable(t, 200, Options{RowsPerBlock: r}, nil)
+		rows := make([]table.Row, 120)
+		for i := range rows {
+			rows[i] = trow(int64(i))
+		}
+		if err := tbl.BulkLoad(rows); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 120; i++ {
+			if ok, err := tbl.Delete(i); err != nil || !ok {
+				t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		if tbl.NumRows() != 0 || tbl.Height() != 0 {
+			t.Fatalf("rows=%d height=%d after deleting all", tbl.NumRows(), tbl.Height())
+		}
+		if _, ok, err := tbl.Lookup(5); ok || err != nil {
+			t.Fatalf("lookup after deleting all: ok=%v err=%v", ok, err)
+		}
+		if err := tbl.Insert(trow(7)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := tbl.Lookup(7); !ok || err != nil {
+			t.Fatalf("lookup after re-insert: ok=%v err=%v", ok, err)
+		}
+	})
+}
+
+// TestLookupEmptyTable is the height-0 regression: every point
+// operation on an empty table is a miss, not an error, and still pays
+// its operation's full padding target.
+func TestLookupEmptyTable(t *testing.T) {
+	forPackings(t, func(t *testing.T, r int) {
+		tbl := newTable(t, 8, Options{RowsPerBlock: r}, nil)
+		check := func(op string, ok bool, err error, target int) {
+			t.Helper()
+			if ok || err != nil {
+				t.Fatalf("%s on empty table: ok=%v err=%v", op, ok, err)
+			}
+			if tbl.ops != target {
+				t.Fatalf("%s on empty table used %d ORAM operations, want %d", op, tbl.ops, target)
+			}
+		}
+		_, ok, err := tbl.Lookup(1)
+		check("Lookup", ok, err, lookupTarget(0))
+		ok, err = tbl.LookupInto(1, make(table.Row, 2))
+		check("LookupInto", ok, err, lookupTarget(0))
+		ok, err = tbl.UpdateByKey(1, func(r table.Row) table.Row { return r })
+		check("UpdateByKey", ok, err, updateTarget(0))
+		ok, err = tbl.Delete(1)
+		check("Delete", ok, err, deleteTarget(0))
+		if n, err := tbl.RangeScan(minInt64, maxInt64, func(table.Row) error { return nil }); n != 0 || err != nil {
+			t.Fatalf("RangeScan on empty table: n=%d err=%v", n, err)
+		}
+	})
+}
+
+// TestDuplicateKeys stores one key until its duplicates span several
+// leaves, then deletes them all: the tree shrinks back to height 0 and
+// keeps answering misses.
+func TestDuplicateKeys(t *testing.T) {
+	forPackings(t, func(t *testing.T, r int) {
+		tbl := newTable(t, 64, Options{RowsPerBlock: r}, nil)
+		for i := 0; i < 20; i++ {
+			if err := tbl.Insert(table.Row{table.Int(7), table.Str(fmt.Sprintf("d%d", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := tbl.RangeScan(7, 7, func(table.Row) error { return nil }); n != 20 || err != nil {
+			t.Fatalf("range scan found %d duplicates, want 20: %v", n, err)
+		}
+		for i := 0; i < 20; i++ {
+			if ok, err := tbl.Delete(7); err != nil || !ok {
+				t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
+			}
+		}
+		if ok, err := tbl.Delete(7); ok || err != nil {
+			t.Fatalf("delete of a vanished key: ok=%v err=%v", ok, err)
+		}
+		if tbl.Height() != 0 || tbl.NumRows() != 0 {
+			t.Fatalf("height %d, rows %d after emptying", tbl.Height(), tbl.NumRows())
+		}
+		if _, ok, err := tbl.Lookup(7); ok || err != nil {
+			t.Fatalf("lookup after emptying: ok=%v err=%v", ok, err)
+		}
+	})
+}
+
+// TestDeleteAcrossLeafBoundary makes duplicates straddle leaves, then
+// deletes one key's run: the first match can sit in the next leaf, which
+// exercises the peek-and-re-descend path.
+func TestDeleteAcrossLeafBoundary(t *testing.T) {
+	forPackings(t, func(t *testing.T, r int) {
+		tbl := newTable(t, 128, Options{RowsPerBlock: r}, nil)
+		for i := 0; i < 30; i++ {
+			for _, k := range []int64{1, 2} {
+				if err := tbl.Insert(table.Row{table.Int(k), table.Str("x")}); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		out, err := tbl.Rows()
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 30; i++ {
+			if ok, err := tbl.Delete(2); err != nil || !ok {
+				t.Fatalf("delete 2 #%d: ok=%v err=%v", i, ok, err)
+			}
 		}
-		return out
-	}
-	a, b := mk(true), mk(false)
-	if len(a) != len(b) {
-		t.Fatalf("bulk %d rows, incremental %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i][0].AsInt() != b[i][0].AsInt() {
-			t.Fatalf("row %d: bulk key %d, incremental %d", i, a[i][0].AsInt(), b[i][0].AsInt())
+		if n, err := tbl.RangeScan(1, 1, func(table.Row) error { return nil }); n != 30 || err != nil {
+			t.Fatalf("%d rows with key 1 remain, want 30: %v", n, err)
 		}
-	}
-	// Bulk-loaded tables must keep absorbing mutations.
-	tbl := newTable(t, 200, Options{RowsPerBlock: 4}, nil)
-	var rows []table.Row
-	for i := int64(0); i < 100; i++ {
-		rows = append(rows, trow(i))
-	}
-	if err := tbl.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(100); i < 140; i++ {
-		if err := tbl.Insert(trow(i)); err != nil {
-			t.Fatal(err)
+		if _, ok, err := tbl.Lookup(2); ok || err != nil {
+			t.Fatalf("lookup of the deleted key: ok=%v err=%v", ok, err)
 		}
-	}
-	for i := int64(0); i < 30; i++ {
-		if ok, err := tbl.Delete(i * 2); err != nil || !ok {
-			t.Fatalf("delete %d after bulk: ok=%v err=%v", i*2, ok, err)
+		if tbl.NumRows() != 30 {
+			t.Fatalf("NumRows = %d, want 30", tbl.NumRows())
 		}
-	}
-	if tbl.NumRows() != 110 {
-		t.Fatalf("NumRows = %d, want 110", tbl.NumRows())
+	})
+}
+
+// TestFixedAccessCounts is the §3.2 padding property counted in ORAM
+// operations: every operation performs exactly its public target, a
+// function of the tree height alone, whether it hits or misses, splits,
+// merges, or borrows. Under Ring ORAM the untrusted accesses per
+// operation also follow the eviction and reshuffle schedule, so
+// trace-level uniformity is pinned separately
+// (TestSameShapeTracesIdentical).
+func TestFixedAccessCounts(t *testing.T) {
+	for _, r := range []int{1, 4} {
+		t.Run(fmt.Sprintf("R=%d", r), func(t *testing.T) {
+			tbl := newTable(t, 300, Options{RowsPerBlock: r}, nil)
+			check := func(op string, k int64, err error, target int) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s(%d): %v", op, k, err)
+				}
+				if tbl.ops != target {
+					t.Fatalf("%s(%d) at height %d used %d ORAM operations, want %d", op, k, tbl.Height(), tbl.ops, target)
+				}
+			}
+			rng := rand.New(rand.NewPCG(3, 3))
+			keys := make([]int64, 260)
+			for i := range keys {
+				keys[i] = int64(rng.IntN(100))
+				hPre := tbl.Height()
+				check("insert", keys[i], tbl.Insert(trow(keys[i])), insertTarget(hPre, tbl.Height()))
+			}
+
+			h := tbl.Height()
+			dst := make(table.Row, 2)
+			for _, k := range []int64{keys[0], keys[259], -5, 1000} { // hits, then misses
+				_, _, err := tbl.Lookup(k)
+				check("lookup", k, err, lookupTarget(h))
+				_, err = tbl.LookupInto(k, dst)
+				check("lookupInto", k, err, lookupTarget(h))
+				_, err = tbl.UpdateByKey(k, func(r table.Row) table.Row { return r })
+				check("update", k, err, updateTarget(h))
+			}
+
+			// Delete everything, each hit followed by a miss, so merges
+			// and root collapses happen all the way down to height 0.
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			for _, k := range keys {
+				for _, d := range []int64{k, 1000} {
+					hPre := tbl.Height()
+					_, err := tbl.Delete(d)
+					check("delete", d, err, deleteTarget(hPre))
+				}
+			}
+			if tbl.Height() != 0 {
+				t.Fatalf("height %d after deleting every row", tbl.Height())
+			}
+			_, _, err := tbl.Lookup(0)
+			check("lookup", 0, err, lookupTarget(0))
+		})
 	}
 }
 

@@ -102,8 +102,12 @@ func lowerBound(nd *node, key, seq int64) int {
 func lookupTarget(h int) int { return h + 2 }
 
 // lookupEntry locates the first entry with the given key, returning its
-// rowID. The access count so far is h or h+1; callers pad.
+// rowID. The access count so far is h or h+1; callers pad. An empty tree
+// holds no entry, so it reads nothing and the caller pads a miss.
 func (t *Table) lookupEntry(key int64) (uint32, bool, error) {
+	if t.height == 0 {
+		return 0, false, nil
+	}
 	path, err := t.descend(key, -1)
 	if err != nil {
 		return 0, false, err

@@ -156,7 +156,7 @@ func TestNullArgumentErrsCleanly(t *testing.T) {
 
 func TestPlanCacheShapeSharing(t *testing.T) {
 	_, x := bindTestDB(t)
-	entries0, _, _ := x.PlanCacheStats()
+	entries0 := x.CacheStats().Entries
 
 	// Three spellings of one shape: ?, $1, and extra whitespace.
 	for _, src := range []string{
@@ -168,28 +168,28 @@ func TestPlanCacheShapeSharing(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 	}
-	entries, hits, misses := x.PlanCacheStats()
-	if entries != entries0+1 {
-		t.Errorf("expected one new cache entry, got %d (from %d)", entries, entries0)
+	st := x.CacheStats()
+	if st.Entries != entries0+1 {
+		t.Errorf("expected one new cache entry, got %d (from %d)", st.Entries, entries0)
 	}
-	if hits < 1 {
-		t.Errorf("expected at least one cache hit, got %d (misses %d)", hits, misses)
+	if st.Hits < 1 {
+		t.Errorf("expected at least one cache hit, got %d (misses %d)", st.Hits, st.Misses)
 	}
 
 	// The two distinct spellings share one parsed statement.
-	s1, n1, err := x.Stmt("SELECT name FROM t WHERE id = ?")
+	p1, err := x.Prepare("SELECT name FROM t WHERE id = ?")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, n2, err := x.Stmt("SELECT name FROM t WHERE id = $1")
+	p2, err := x.Prepare("SELECT name FROM t WHERE id = $1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
+	if p1.Stmt() != p2.Stmt() {
 		t.Error("spelling variants of one shape did not share a cached parse")
 	}
-	if n1 != 1 || n2 != 1 {
-		t.Errorf("numParams = %d, %d; want 1, 1", n1, n2)
+	if p1.NumParams() != 1 || p2.NumParams() != 1 {
+		t.Errorf("numParams = %d, %d; want 1, 1", p1.NumParams(), p2.NumParams())
 	}
 }
 

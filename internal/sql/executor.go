@@ -129,13 +129,11 @@ func (x *Executor) plan(src string, cacheLiterals bool) (*planEntry, error) {
 }
 
 // entryFor finds or creates the cache entry sharing stmt's shape, so
-// raw-statement callers (ExecuteStmt, EXPLAIN) reuse one compiled plan
-// per shape. cacheLiterals follows plan's policy: without it, a
-// zero-placeholder statement gets a transient entry instead of
-// occupying (and at the limit, wiping) the shared cache — the EXPLAIN
-// path passes false so a stream of distinct literal EXPLAINs cannot
-// evict the plan-once/execute-many shapes.
-func (x *Executor) entryFor(stmt Statement, cacheLiterals bool) *planEntry {
+// EXPLAIN and later executions of the shape reuse one compiled plan. A
+// zero-placeholder statement gets a transient entry instead, like every
+// one-shot, so a stream of distinct literal EXPLAINs cannot evict the
+// plan-once/execute-many shapes.
+func (x *Executor) entryFor(stmt Statement) *planEntry {
 	key := stmt.(fmt.Stringer).String()
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -143,7 +141,7 @@ func (x *Executor) entryFor(stmt Statement, cacheLiterals bool) *planEntry {
 		return entry
 	}
 	entry := &planEntry{stmt: stmt, numParams: NumParams(stmt)}
-	if entry.numParams == 0 && !cacheLiterals {
+	if entry.numParams == 0 {
 		return entry
 	}
 	if len(x.plans) >= planCacheLimit {
@@ -194,24 +192,6 @@ func (p *Prepared) Exec(args []table.Value) (*core.Result, error) {
 	return p.x.execEntry(p.entry, args)
 }
 
-// Stmt returns the cached parsed statement and its parameter count for
-// src. It is the prepare step paired with ExecuteBound; Prepare is the
-// richer form that also hands back the shape's compiled-plan entry.
-func (x *Executor) Stmt(src string) (Statement, int, error) {
-	entry, err := x.plan(src, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	return entry.stmt, entry.numParams, nil
-}
-
-// PlanCacheStats reports the cache's size and hit/miss counters.
-func (x *Executor) PlanCacheStats() (entries int, hits, misses uint64) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.plans), x.hits, x.misses
-}
-
 // CacheStats is the executor's full self-report: parse-cache size and
 // hit/miss counters plus compiled-plan counters. CompileSkips counts
 // executions that replayed a cached compiled plan without re-planning —
@@ -234,53 +214,16 @@ func (x *Executor) CacheStats() CacheStats {
 	}
 }
 
+// execEntry checks the argument count, then dispatches: DDL and EXPLAIN
+// execute directly (they are catalog operations), everything else
+// compiles into (or replays) the entry's physical plan and runs it
+// through the engine's plan interpreter. Argument values reach only the
+// in-enclave evaluator, never the planner or any code that touches
+// untrusted memory.
 func (x *Executor) execEntry(entry *planEntry, args []table.Value) (*core.Result, error) {
 	if len(args) != entry.numParams {
 		return nil, fmt.Errorf("sql: statement has %d parameter(s), got %d argument(s)", entry.numParams, len(args))
 	}
-	return x.runEntry(entry, args)
-}
-
-// ExecuteStmt runs an already-parsed statement with no bound arguments.
-// Servers use it to execute prepared statements without re-parsing;
-// parsing happens inside the enclave and touches no untrusted memory,
-// so splitting it from execution changes nothing about the trace.
-func (x *Executor) ExecuteStmt(stmt Statement) (*core.Result, error) {
-	return x.ExecuteStmtArgs(stmt, nil)
-}
-
-// ExecuteStmtArgs runs an already-parsed statement with arguments bound
-// to its placeholders. Binding is strict: the argument count must equal
-// the statement's parameter count. The values are visible only to the
-// in-enclave expression evaluator — never to the planner or any code
-// that touches untrusted memory — so two executions of one statement
-// shape with different arguments produce identical traces whenever the
-// public parameters (table and output sizes) match.
-func (x *Executor) ExecuteStmtArgs(stmt Statement, args []table.Value) (*core.Result, error) {
-	return x.ExecuteBound(stmt, NumParams(stmt), args)
-}
-
-// ExecuteBound is ExecuteStmtArgs for callers that computed the
-// statement's parameter count once at prepare time. It looks the
-// statement's cache entry up by shape (one String render per call) so
-// repeated executions share a compiled plan; callers on a hot path
-// should hold a *Prepared instead, which pins the entry and skips the
-// lookup entirely. numParams must be NumParams(stmt).
-func (x *Executor) ExecuteBound(stmt Statement, numParams int, args []table.Value) (*core.Result, error) {
-	if len(args) != numParams {
-		return nil, fmt.Errorf("sql: statement has %d parameter(s), got %d argument(s)", numParams, len(args))
-	}
-	// cacheLiterals=false: like one-shot Execute, a literal statement
-	// arriving here must not occupy (or at the limit, wipe) the shared
-	// shape cache; cached shapes are still found and replayed.
-	return x.runEntry(x.entryFor(stmt, false), args)
-}
-
-// runEntry dispatches after arity checking: DDL and EXPLAIN execute
-// directly (they are catalog operations), everything else compiles into
-// (or replays) the entry's physical plan and runs it through the
-// engine's plan interpreter.
-func (x *Executor) runEntry(entry *planEntry, args []table.Value) (*core.Result, error) {
 	switch s := entry.stmt.(type) {
 	case *CreateTable:
 		// DDL invalidates compiled plans via the engine's catalog epoch
@@ -335,7 +278,7 @@ func (x *Executor) compiledPlan(entry *planEntry) (plan.Node, error) {
 // one-shot. Annotation and rendering run together under the engine
 // mutex (ExplainPlan) because the plan is shared.
 func (x *Executor) explainStmt(s *Explain) (*core.Result, error) {
-	entry := x.entryFor(s.Stmt, false)
+	entry := x.entryFor(s.Stmt)
 	root, err := x.compiledPlan(entry)
 	if err != nil {
 		return nil, err

@@ -8,11 +8,16 @@
 // once — the server answers in epoch order, not arrival order, so
 // responses must name the request they answer.
 //
-// The protocol rides inside the client↔enclave secure channel of the
-// paper's model (§2.2): the adversary observing the host's network sees
-// only ciphertext sizes and timing. Hiding *those* is the epoch
-// scheduler's job (internal/server); the wire format itself makes no
-// attempt at padding.
+// The paper's model (§2.2) runs this protocol inside an attested
+// client↔enclave secure channel. This implementation has none yet: the
+// transport is plain TCP (net.Dial / net.Listen), so a host watching the
+// network reads SQL text, bound arguments, and result rows in cleartext.
+// Frame sizes leak too: strings travel as a length prefix plus their
+// bytes, unpadded, so sizes depend on literal, argument, and result
+// values rather than only on public result widths. The epoch scheduler
+// (internal/server) hides when and how often statements execute, not
+// what the frames carry. Encrypting the channel (TLS standing in for
+// the attested one) and padding responses are open ROADMAP items.
 package wire
 
 import (

@@ -217,7 +217,8 @@ func (r *Row) Scan(dest ...any) error {
 // PlanCacheStats reports the executor's plan-cache size and hit/miss
 // counters — a plan-once/execute-many observability hook.
 func (db *DB) PlanCacheStats() (entries int, hits, misses uint64) {
-	return db.sqlExec.PlanCacheStats()
+	st := db.sqlExec.CacheStats()
+	return st.Entries, st.Hits, st.Misses
 }
 
 // CacheStats reports the executor's full plan-cache counters: parse
