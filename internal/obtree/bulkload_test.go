@@ -1,16 +1,17 @@
-package obtree
+package obtree_test
 
 import (
 	"math/rand/v2"
 	"testing"
 
 	"oblidb/internal/enclave"
+	"oblidb/internal/indexed"
 	"oblidb/internal/table"
 )
 
 func TestBulkLoadMatchesIncremental(t *testing.T) {
 	for _, n := range []int{1, 5, 13, 100, 500} {
-		tree := newTree(t, n+50, nil)
+		tree := newTree(t, n+50)
 		rng := rand.New(rand.NewPCG(uint64(n), 1))
 		rows := make([]table.Row, n)
 		for i := range rows {
@@ -49,7 +50,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 }
 
 func TestBulkLoadDeleteAll(t *testing.T) {
-	tree := newTree(t, 200, nil)
+	tree := newTree(t, 200)
 	rows := make([]table.Row, 120)
 	for i := range rows {
 		rows[i] = trow(int64(i))
@@ -68,15 +69,17 @@ func TestBulkLoadDeleteAll(t *testing.T) {
 }
 
 func TestBulkLoadRequiresEmpty(t *testing.T) {
-	tree := newTree(t, 50, nil)
-	_ = tree.Insert(trow(1))
+	tree := newTree(t, 50)
+	if err := tree.Insert(trow(1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := tree.BulkLoad([]table.Row{trow(2)}); err == nil {
 		t.Fatal("bulk load into non-empty tree accepted")
 	}
 }
 
 func TestBulkLoadCapacity(t *testing.T) {
-	tree := newTree(t, 4, nil)
+	tree := newTree(t, 4)
 	rows := make([]table.Row, 5)
 	for i := range rows {
 		rows[i] = trow(int64(i))
@@ -85,7 +88,7 @@ func TestBulkLoadCapacity(t *testing.T) {
 		t.Fatal("over-capacity bulk load accepted")
 	}
 	e := enclave.MustNew(enclave.Config{})
-	tree2, err := New(e, "t2", treeSchema(), 0, 8, Options{})
+	tree2, err := indexed.New(e, "t2", treeSchema(), 0, 8, oneRowPerBlock)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,6 +90,10 @@ func TestMetricsObliviousness(t *testing.T) {
 		// One idle epoch so dummy padding and the padding ratio are
 		// exercised too.
 		srv.RunEpoch()
+		// A reply reaches the client before its writer goroutine counts
+		// the frame, so snapshot only once Close has left the server
+		// quiescent: every writer flushed and exited.
+		srv.Close()
 
 		var sb strings.Builder
 		if err := srv.Metrics().WriteText(&sb); err != nil {
@@ -101,7 +105,6 @@ func TestMetricsObliviousness(t *testing.T) {
 			t.Errorf("workload %d exposition fails lint: %v %v", i, problems, err)
 		}
 		c.Close()
-		srv.Close()
 	}
 	if expositions[0] != expositions[1] {
 		t.Fatalf("metrics depend on data values:\n--- workload 0 ---\n%s\n--- workload 1 ---\n%s",
