@@ -657,23 +657,38 @@ func (db *DB) insertRows(name string, rows []table.Row) error {
 
 // insertRowsBody applies the inserts, journaling each row only after it
 // lands: a pass that fails midway leaves nothing staged for the rows it
-// never wrote. The undo record is taken *before* each apply (removal
-// tolerates absence), so a failed apply still unwinds cleanly.
+// never wrote. Undo is likewise recorded per representation once the
+// row is there — for the flat copy, once its row count took it, which
+// the oblivious insert's pass does as soon as the row's block write
+// lands, even if a later block's write then fails. Recording a flat
+// insert that never landed would make rollback remove an equal row
+// that was there before.
 func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 	t, err := db.lookup(name)
 	if err != nil {
 		return err
 	}
-	track := db.trackingMutations()
+	rec := db.undoFor(t)
+	defer rec.done()
 	for _, r := range rows {
 		if err := t.schema.ValidateRow(r); err != nil {
 			return err
 		}
-		if track {
-			db.undo = append(db.undo, undoRec{op: undoInsert, table: t.name, post: []table.Row{r.Clone()}})
+		if t.flat != nil {
+			before := t.flat.NumRows()
+			err := db.insertFlat(t, r)
+			if t.flat.NumRows() > before {
+				rec.flat.added = rec.add(rec.flat.added, r)
+			}
+			if err != nil {
+				return err
+			}
 		}
-		if err := db.applyInsert(t, r); err != nil {
-			return err
+		if t.index != nil {
+			if err := t.index.Insert(r); err != nil {
+				return err
+			}
+			rec.index.added = rec.add(rec.index.added, r)
 		}
 		if err := db.logMutation(wal.OpInsert, t, r); err != nil {
 			return err
@@ -682,38 +697,45 @@ func (db *DB) insertRowsBody(name string, rows []table.Row) error {
 	return nil
 }
 
-// applyInsert writes one row into every representation the table keeps.
-func (db *DB) applyInsert(t *Table, r table.Row) error {
-	if t.flat != nil {
-		if err := db.insertFlat(t, r); err != nil {
-			return err
-		}
-	}
-	if t.index != nil {
-		if err := t.index.Insert(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// collectMatching reads the pre-images of rows matching full, for
-// write-ahead logging. One read pass over the table's cheapest
-// representation.
+// collectMatching reads the rows of a table's flat copy matching full,
+// in slot order — the order the flat update and delete passes apply in.
+// Tables without a flat copy take their pre-images from the index pass
+// instead (indexMatches, rewriteIndex).
 func (db *DB) collectMatching(t *Table, full table.Pred) ([]table.Row, error) {
 	var out []table.Row
-	if t.flat != nil {
-		err := t.flat.Scan(func(_ int, r table.Row, used bool) error {
-			if used && full(r) {
-				out = append(out, r.Clone())
+	err := t.flat.Scan(func(_ int, r table.Row, used bool) error {
+		if used && full(r) {
+			out = append(out, r.Clone())
+		}
+		return nil
+	})
+	return out, err
+}
+
+// indexRow is one row an index pass found, with the rowID that names its
+// exact entry: with duplicate keys, the key alone does not.
+type indexRow struct {
+	id  uint32
+	row table.Row
+}
+
+// indexMatches finds the index rows a DML statement targets: a RangeScan
+// of the key range filtered by pred when a range is given, else one raw
+// scan filtered by full.
+func (db *DB) indexMatches(t *Table, pred, full table.Pred, key *KeyRange) ([]indexRow, error) {
+	var out []indexRow
+	if key != nil {
+		_, err := t.index.RangeScanIDs(key.Lo, key.Hi, func(id uint32, r table.Row) error {
+			if pred(r) {
+				out = append(out, indexRow{id, r})
 			}
 			return nil
 		})
 		return out, err
 	}
-	err := t.index.ScanRaw(func(r table.Row) error {
+	err := t.index.ScanRawIDs(func(id uint32, r table.Row) error {
 		if full(r) {
-			out = append(out, r.Clone())
+			out = append(out, indexRow{id, r.Clone()})
 		}
 		return nil
 	})
@@ -784,7 +806,14 @@ func (db *DB) bulkLoadBody(name string, rows []table.Row) error {
 		}
 		// Recorded before the load so a store fault midway through it
 		// unwinds the rows that did land (removal tolerates the rest).
-		db.undo = append(db.undo, undoRec{op: undoInsert, table: t.name, post: pre})
+		rec := undoRec{table: t.name}
+		if t.flat != nil {
+			rec.flat.added = pre
+		}
+		if t.index != nil {
+			rec.index.added = pre
+		}
+		db.undo = append(db.undo, rec)
 	}
 	if t.flat != nil {
 		for t.flat.Capacity() < len(rows) {
@@ -834,10 +863,12 @@ func (db *DB) deleteRows(name string, pred table.Pred, key *KeyRange) (int, erro
 	return n, nil
 }
 
-// deleteRowsBody runs the delete pass, journaling the pre-images only
-// after every representation succeeded — the seed journaled them first,
-// so a pass failing midway left the log describing deletions that never
-// happened.
+// deleteRowsBody runs the delete pass. One index pass finds the victims
+// and, on a table without a flat copy, is also where the journal's
+// pre-images come from; each victim is then removed as its exact (key,
+// rowID) entry. The pre-images are journaled only after every
+// representation succeeded — the seed journaled them first, so a pass
+// failing midway left the log describing deletions that never happened.
 func (db *DB) deleteRowsBody(name string, pred table.Pred, key *KeyRange) (int, error) {
 	t, err := db.lookup(name)
 	if err != nil {
@@ -847,66 +878,48 @@ func (db *DB) deleteRowsBody(name string, pred table.Pred, key *KeyRange) (int, 
 		pred = table.All
 	}
 	full := combinePred(t, pred, key)
+	rec := db.undoFor(t)
+	defer rec.done()
 
-	track := db.trackingMutations()
-	var pre []table.Row
-	if track {
-		if pre, err = db.collectMatching(t, full); err != nil {
-			return 0, err
-		}
-		// The undo record must exist BEFORE the apply pass: a store fault
-		// midway through it leaves some rows deleted, and only a
-		// pre-recorded undo can put them back (its replay tolerates rows
-		// the pass never removed).
-		db.undo = append(db.undo, undoRec{op: undoDelete, table: t.name, pre: pre})
-	}
-
-	// Indexed representation: find victim keys (by range when given,
-	// otherwise by a linear raw scan), then run padded deletes.
-	var victims []int64
+	var victims []indexRow
 	if t.index != nil {
-		if key != nil {
-			_, err = t.index.RangeScan(key.Lo, key.Hi, func(r table.Row) error {
-				if pred(r) {
-					victims = append(victims, r[t.keyCol].AsInt())
-				}
-				return nil
-			})
-		} else {
-			err = t.index.ScanRaw(func(r table.Row) error {
-				if full(r) {
-					victims = append(victims, r[t.keyCol].AsInt())
-				}
-				return nil
-			})
-		}
-		if err != nil {
+		if victims, err = db.indexMatches(t, pred, full, key); err != nil {
 			return 0, err
 		}
 	}
-
+	var pre []table.Row
 	n := 0
 	if t.flat != nil {
-		if n, err = t.flat.Delete(full); err != nil {
+		if rec.track {
+			if pre, err = db.collectMatching(t, full); err != nil {
+				return 0, err
+			}
+		}
+		n, err = t.flat.Delete(full)
+		if rec.track {
+			// The pass deletes in slot order, so the rows gone are the
+			// first n pre-images.
+			rec.flat.removed = pre[:n]
+		}
+		if err != nil {
 			return n, err
 		}
 	}
-	if t.index != nil {
-		deleted := 0
-		for _, k := range victims {
-			ok, err := t.index.Delete(k)
-			if err != nil {
-				return deleted, err
-			}
-			if ok {
-				deleted++
-			}
+	deleted := 0
+	for _, v := range victims {
+		ok, err := t.index.DeleteRow(v.row[t.keyCol].AsInt(), v.id)
+		if err != nil {
+			return deleted, err
 		}
-		if t.flat == nil {
-			n = deleted
+		if ok {
+			deleted++
+			rec.index.removed = rec.add(rec.index.removed, v.row)
 		}
 	}
-	if track {
+	if t.flat == nil {
+		n, pre = deleted, rec.index.removed
+	}
+	if rec.track {
 		for _, r := range pre {
 			if err := db.logMutation(wal.OpDelete, t, r); err != nil {
 				return 0, err
@@ -921,25 +934,33 @@ func (db *DB) deleteRowsBody(name string, pred table.Pred, key *KeyRange) (int, 
 func (db *DB) Update(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
 	db.lockWrite()
 	defer db.mu.Unlock()
-	return db.updateRows(name, pred, upd, key)
+	return db.updateRows(name, pred, upd, key, false)
 }
 
 // updateRows is Update without the lock, for internal cross-calls.
-func (db *DB) updateRows(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
+// keepsKey promises that upd never changes the index key column (the
+// plan interpreter derives it from the SET list); a key-ranged update
+// then rewrites the index rows in place.
+func (db *DB) updateRows(name string, pred table.Pred, upd table.Updater, key *KeyRange, keepsKey bool) (int, error) {
 	wm, um := db.mutationMarks()
-	n, err := db.updateRowsBody(name, pred, upd, key)
+	n, err := db.updateRowsBody(name, pred, upd, key, keepsKey)
 	if e := db.endMutation(err, wm, um); e != nil {
 		return 0, e
 	}
 	return n, nil
 }
 
-// updateRowsBody runs the update pass. Under tracking, every post-image
-// is computed and validated up front — before anything applies — so a
-// row the updater would break fails the whole statement cleanly instead
-// of leaving half the pass applied; the journal records are staged only
-// after the pass succeeds.
-func (db *DB) updateRowsBody(name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
+// updateRowsBody runs the update pass. The flat copy's post-images are
+// computed and validated up front, before anything applies. The index
+// side takes one of two routes, chosen from the statement alone:
+//
+//   - keepsKey with a key range: one RewriteRange walk finds the rows,
+//     supplies their pre-images, and rewrites each in place;
+//   - otherwise: one index pass finds the rows, then each moves by a
+//     padded DeleteRow of its exact entry plus an Insert.
+//
+// Journal records are staged only after the pass succeeds.
+func (db *DB) updateRowsBody(name string, pred table.Pred, upd table.Updater, key *KeyRange, keepsKey bool) (int, error) {
 	t, err := db.lookup(name)
 	if err != nil {
 		return 0, err
@@ -948,74 +969,45 @@ func (db *DB) updateRowsBody(name string, pred table.Pred, upd table.Updater, ke
 		pred = table.All
 	}
 	full := combinePred(t, pred, key)
+	rec := db.undoFor(t)
+	defer rec.done()
 
-	track := db.trackingMutations()
 	var pre, post []table.Row
-	if track {
-		if pre, err = db.collectMatching(t, full); err != nil {
-			return 0, err
-		}
-		post = make([]table.Row, len(pre))
-		for i, r := range pre {
-			p := upd(r.Clone())
-			if err := t.schema.ValidateRow(p); err != nil {
-				return 0, err
-			}
-			post[i] = p
-		}
-		// Record the undo before anything applies (see deleteRowsBody):
-		// a fault mid-pass leaves a mix of pre- and post-image rows, and
-		// the two-phase undo replay restores the pre multiset exactly.
-		db.undo = append(db.undo, undoRec{op: undoUpdate, table: t.name, pre: pre, post: post})
-	}
-
-	var before []table.Row
-	if t.index != nil {
-		collect := func(r table.Row) error {
-			if full(r) {
-				before = append(before, r.Clone())
-			}
-			return nil
-		}
-		if key != nil {
-			_, err = t.index.RangeScan(key.Lo, key.Hi, func(r table.Row) error {
-				if pred(r) {
-					before = append(before, r.Clone())
-				}
-				return nil
-			})
-		} else {
-			err = t.index.ScanRaw(collect)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-
 	n := 0
 	if t.flat != nil {
-		if n, err = t.flat.Update(full, upd); err != nil {
+		if rec.track {
+			if pre, err = db.collectMatching(t, full); err != nil {
+				return 0, err
+			}
+			if post, err = applyUpdater(t, upd, pre); err != nil {
+				return 0, err
+			}
+		}
+		n, err = t.flat.Update(full, upd)
+		if rec.track {
+			// Applied in slot order: the first n rows changed.
+			rec.flat.removed, rec.flat.added = pre[:n], post[:n]
+		}
+		if err != nil {
 			return n, err
 		}
 	}
 	if t.index != nil {
-		for _, old := range before {
-			newRow := upd(old.Clone())
-			if err := t.schema.ValidateRow(newRow); err != nil {
-				return n, err
-			}
-			if _, err := t.index.Delete(old[t.keyCol].AsInt()); err != nil {
-				return n, err
-			}
-			if err := t.index.Insert(newRow); err != nil {
-				return n, err
-			}
+		var moved int
+		if keepsKey && key != nil {
+			moved, err = db.rewriteIndex(t, pred, upd, key, rec)
+		} else {
+			moved, err = db.moveIndexRows(t, pred, full, upd, key, rec)
 		}
 		if t.flat == nil {
-			n = len(before)
+			n = moved
+			pre, post = rec.index.removed, rec.index.added
+		}
+		if err != nil {
+			return n, err
 		}
 	}
-	if track {
+	if rec.track {
 		for i := range pre {
 			if err := db.logMutation(wal.OpDelete, t, pre[i]); err != nil {
 				return 0, err
@@ -1026,6 +1018,85 @@ func (db *DB) updateRowsBody(name string, pred table.Pred, upd table.Updater, ke
 		}
 	}
 	return n, nil
+}
+
+// applyUpdater computes and validates the post-images of rows.
+func applyUpdater(t *Table, upd table.Updater, rows []table.Row) ([]table.Row, error) {
+	out := make([]table.Row, len(rows))
+	for i, r := range rows {
+		p := upd(r.Clone())
+		if err := t.schema.ValidateRow(p); err != nil {
+			return nil, err
+		}
+		out[i] = p
+	}
+	return out, nil
+}
+
+// rewriteIndex is the in-place route: one RewriteRange walk over the key
+// range. Rows pred rejects are written back unchanged, so the walk's
+// accesses depend on the scanned segment alone, not on how many rows
+// matched. It returns how many matched rows were rewritten; each is
+// recorded in rec once its write landed.
+func (db *DB) rewriteIndex(t *Table, pred table.Pred, upd table.Updater, key *KeyRange, rec *stmtUndo) (int, error) {
+	var pre, post []table.Row
+	var at []int // walk position of each matched row
+	visited := 0
+	written, err := t.index.RewriteRange(key.Lo, key.Hi, func(r table.Row) (table.Row, error) {
+		visited++
+		if !pred(r) {
+			return r, nil
+		}
+		at = append(at, visited-1)
+		if !rec.track {
+			return upd(r), nil
+		}
+		// The walk hands out a fresh row per entry, so only the
+		// pre-image, which upd may overwrite, needs a copy.
+		pre = append(pre, r.Clone())
+		r = upd(r)
+		post = append(post, r)
+		return r, nil
+	})
+	n := 0
+	for n < len(at) && at[n] < written {
+		n++
+	}
+	if rec.track {
+		rec.index.removed = append(rec.index.removed, pre[:n]...)
+		rec.index.added = append(rec.index.added, post[:n]...)
+	}
+	return n, err
+}
+
+// moveIndexRows is the delete+insert route, for updates that may move a
+// row's key: every post-image is validated first, then each matched row
+// is removed by its exact entry and its post-image inserted. It returns
+// how many rows moved; each step is recorded in rec once it landed.
+func (db *DB) moveIndexRows(t *Table, pred, full table.Pred, upd table.Updater, key *KeyRange, rec *stmtUndo) (int, error) {
+	victims, err := db.indexMatches(t, pred, full, key)
+	if err != nil {
+		return 0, err
+	}
+	pre := make([]table.Row, len(victims))
+	for i, v := range victims {
+		pre[i] = v.row
+	}
+	post, err := applyUpdater(t, upd, pre)
+	if err != nil {
+		return 0, err
+	}
+	for i, v := range victims {
+		if _, err := t.index.DeleteRow(v.row[t.keyCol].AsInt(), v.id); err != nil {
+			return i, err
+		}
+		rec.index.removed = rec.add(rec.index.removed, pre[i])
+		if err := t.index.Insert(post[i]); err != nil {
+			return i, err
+		}
+		rec.index.added = rec.add(rec.index.added, post[i])
+	}
+	return len(victims), nil
 }
 
 // KeyRange is an inclusive range on a table's indexed column.

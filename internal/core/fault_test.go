@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"oblidb/internal/crypt"
@@ -68,13 +69,20 @@ func faultStatements(base int64) []func(*DB) error {
 // path for recovery cross-checks.
 func runFaultWorkload(t *testing.T, key []byte, inj *faultstore.Injector, base int64) (rows []string, walPath string, accesses uint64) {
 	t.Helper()
+	return runFaultStatements(t, key, inj, faultStatements(base))
+}
+
+// runFaultStatements is runFaultWorkload over any statement list that
+// builds table ft.
+func runFaultStatements(t *testing.T, key []byte, inj *faultstore.Injector, stmts []func(*DB) error) (rows []string, walPath string, accesses uint64) {
+	t.Helper()
 	walPath = filepath.Join(t.TempDir(), "fault.wal")
 	db := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 4, Fault: inj})
 	l := openTestLog(t, walPath, key, wal.Options{})
 	if err := db.AttachWAL(l); err != nil {
 		t.Fatal(err)
 	}
-	for si, stmt := range faultStatements(base) {
+	for si, stmt := range stmts {
 		for attempt := 0; ; attempt++ {
 			err := stmt(db)
 			if err == nil {
@@ -171,5 +179,232 @@ func TestFaultTraceIdentity(t *testing.T) {
 	}
 	if fingerprint(100) != fingerprint(7700) {
 		t.Fatal("same-shape/different-data workloads diverged their traces under one fault schedule")
+	}
+}
+
+// updateKeepingKey runs an UPDATE down the route the plan interpreter
+// picks when the SET list leaves the key column alone: a key-ranged one
+// rewrites the index rows in place.
+func updateKeepingKey(db *DB, name string, pred table.Pred, upd table.Updater, key *KeyRange) (int, error) {
+	db.lockWrite()
+	defer db.mu.Unlock()
+	return db.updateRows(name, pred, upd, key, true)
+}
+
+// indexFaultStatements is faultStatements' index-only workload: inserts
+// with duplicate keys, a key-ranged in-place UPDATE whose residual
+// predicate rejects the first row of a key run, a key-moving UPDATE, and a
+// DELETE that singles out the second row of a duplicate-key run.
+func indexFaultStatements(base int64) []func(*DB) error {
+	s := walTestSchema()
+	stmts := []func(*DB) error{
+		func(db *DB) error {
+			_, err := db.CreateTable("ft", s, TableOptions{Kind: KindIndexed, KeyColumn: "id", Capacity: 16})
+			return err
+		},
+	}
+	for b := int64(0); b < 2; b++ {
+		b := b
+		stmts = append(stmts, func(db *DB) error {
+			rows := make([]table.Row, 0, 4)
+			for i := int64(0); i < 4; i++ {
+				n := 4*b + i
+				rows = append(rows, table.Row{table.Int(base + n/2), table.Str(fmt.Sprintf("r%d", base+n))})
+			}
+			return db.Insert("ft", rows...)
+		})
+	}
+	skip := table.Str(fmt.Sprintf("r%d", base+2))
+	stmts = append(stmts,
+		func(db *DB) error {
+			_, err := updateKeepingKey(db, "ft",
+				func(r table.Row) bool { return !r[1].Equal(skip) },
+				func(r table.Row) table.Row { r[1] = table.Str("u" + r[1].AsString()); return r },
+				&KeyRange{Lo: base + 1, Hi: base + 2})
+			return err
+		},
+		func(db *DB) error {
+			_, err := db.Update("ft",
+				func(r table.Row) bool { return r[1].AsString() == fmt.Sprintf("r%d", base+7) },
+				func(r table.Row) table.Row { return table.Row{table.Int(base + 9), r[1]} }, Point(base+3))
+			return err
+		},
+		func(db *DB) error {
+			_, err := db.Delete("ft",
+				func(r table.Row) bool { return r[1].AsString() == fmt.Sprintf("r%d", base+1) }, Point(base))
+			return err
+		},
+		func(db *DB) error {
+			return db.Insert("ft", table.Row{table.Int(base), table.Str("tail")})
+		},
+	)
+	return stmts
+}
+
+// TestFaultInIndexOnlyDMLContained is
+// TestFaultAtEveryAccessIndexContained on an index-only table: one
+// store fault per run, engine state and journal-recovered state both
+// compared against the fault-free run. The sweep covers the statements
+// after the loading inserts (index inserts on their own are swept by
+// internal/indexed's TestMutationsAllOrNothingUnderFaults), at a stride
+// of 3: every ORAM access reads one slot per level of the ORAM tree
+// (seven levels here), so each is still faulted, while the runs stay
+// affordable under -race.
+func TestFaultInIndexOnlyDMLContained(t *testing.T) {
+	key := crypt.NewRandomKey()
+	stmts := indexFaultStatements(100)
+	_, _, from := runFaultStatements(t, key, faultstore.NewInjector(faultstore.Schedule{}), stmts[:3])
+	ref, _, n := runFaultStatements(t, key, faultstore.NewInjector(faultstore.Schedule{}), stmts)
+	if want := []string{`100|"tail"`, `100|"r100"`, `101|"r102"`, `101|"ur103"`, `102|"ur104"`, `102|"ur105"`, `103|"r106"`, `109|"r107"`}; rowsDiffer(sorted(want), ref) {
+		t.Fatalf("fault-free run gave %v, want %v", ref, sorted(want))
+	}
+	stride := uint64(3)
+	if testing.Short() {
+		stride = (n-from)/40 + 1
+	}
+	for k := from; k < n; k += stride {
+		inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1})
+		got, walPath, _ := runFaultStatements(t, key, inj, indexFaultStatements(100))
+		if inj.Injected() != 1 {
+			t.Fatalf("fault at access %d never fired (injected=%d)", k, inj.Injected())
+		}
+		if rowsDiffer(ref, got) {
+			t.Fatalf("fault at access %d diverged the engine:\n got %v\nwant %v", k, got, ref)
+		}
+		l := openTestLog(t, walPath, key, wal.Options{})
+		rec := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 4})
+		if err := rec.Recover(l); err != nil {
+			t.Fatalf("fault at access %d left an unrecoverable journal: %v", k, err)
+		}
+		if got := snapshotRows(t, rec, "ft"); rowsDiffer(ref, got) {
+			t.Fatalf("fault at access %d diverged the journal:\n got %v\nwant %v", k, got, ref)
+		}
+	}
+}
+
+func sorted(s []string) []string {
+	out := append([]string(nil), s...)
+	sort.Strings(out)
+	return out
+}
+
+// TestFaultedUpdateKeepsRowEqualToPostImage pins undo of a partly
+// applied UPDATE when an untouched row already equals a post-image:
+// rows (1,'upd') and (1,'x'), then SET name = 'upd' WHERE name = 'x'.
+// A fault at any access of the update, followed by a retry, must leave
+// both rows. The seed's undo cleared post-images by value and so could
+// delete the untouched (1,'upd') instead.
+func TestFaultedUpdateKeepsRowEqualToPostImage(t *testing.T) {
+	key := crypt.NewRandomKey()
+	run := func(inj *faultstore.Injector) (rows []string, walPath string, before, after uint64) {
+		walPath = filepath.Join(t.TempDir(), "upd.wal")
+		db := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 1, Fault: inj})
+		if err := db.AttachWAL(openTestLog(t, walPath, key, wal.Options{})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateTable("ft", walTestSchema(), TableOptions{Capacity: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Insert("ft", table.Row{table.Int(1), table.Str("upd")}, table.Row{table.Int(1), table.Str("x")}); err != nil {
+			t.Fatal(err)
+		}
+		before = inj.Accesses()
+		for attempt := 0; ; attempt++ {
+			_, err := db.Update("ft",
+				func(r table.Row) bool { return r[1].AsString() == "x" },
+				func(r table.Row) table.Row { r[1] = table.Str("upd"); return r }, nil)
+			if err == nil {
+				break
+			}
+			if !oberr.Retriable(err) || attempt > 2 {
+				t.Fatalf("update: %v", err)
+			}
+		}
+		after = inj.Accesses()
+		if berr := db.Broken(); berr != nil {
+			t.Fatal(berr)
+		}
+		return snapshotRows(t, db, "ft"), walPath, before, after
+	}
+	ref, _, lo, hi := run(faultstore.NewInjector(faultstore.Schedule{}))
+	if want := []string{`1|"upd"`, `1|"upd"`}; rowsDiffer(want, ref) {
+		t.Fatalf("fault-free run gave %v, want %v", ref, want)
+	}
+	for k := lo; k < hi; k++ {
+		inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1})
+		got, walPath, _, _ := run(inj)
+		if rowsDiffer(ref, got) {
+			t.Fatalf("fault at update access %d left %v, want %v", k-lo, got, ref)
+		}
+		rec := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: 1})
+		if err := rec.Recover(openTestLog(t, walPath, key, wal.Options{})); err != nil {
+			t.Fatal(err)
+		}
+		if got := snapshotRows(t, rec, "ft"); rowsDiffer(ref, got) {
+			t.Fatalf("fault at update access %d: journal recovers %v, want %v", k-lo, got, ref)
+		}
+	}
+}
+
+// TestFaultedInsertKeepsEqualRow pins undo of a faulted INSERT of a row
+// the flat table already holds: (1,'a') is there, INSERT (1,'a') again.
+// A fault at any access of the insert, followed by a retry, must leave
+// two copies, for the appending and the oblivious (scanning) insert.
+// The undo used to record a flat insert before it applied, so a fault
+// before the row landed made rollback delete the copy already there.
+func TestFaultedInsertKeepsEqualRow(t *testing.T) {
+	key := crypt.NewRandomKey()
+	row := table.Row{table.Int(1), table.Str("a")}
+	for _, obliv := range []bool{false, true} {
+		for _, r := range []int{1, 4} {
+			t.Run(fmt.Sprintf("oblivious=%v/R=%d", obliv, r), func(t *testing.T) {
+				run := func(inj *faultstore.Injector) (rows []string, walPath string, before, after uint64) {
+					walPath = filepath.Join(t.TempDir(), "ins.wal")
+					db := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: r, Fault: inj})
+					if err := db.AttachWAL(openTestLog(t, walPath, key, wal.Options{})); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := db.CreateTable("ft", walTestSchema(), TableOptions{Capacity: 8, ObliviousInserts: obliv}); err != nil {
+						t.Fatal(err)
+					}
+					if err := db.Insert("ft", row); err != nil {
+						t.Fatal(err)
+					}
+					before = inj.Accesses()
+					for attempt := 0; ; attempt++ {
+						err := db.Insert("ft", row)
+						if err == nil {
+							break
+						}
+						if !oberr.Retriable(err) || attempt > 2 {
+							t.Fatalf("insert: %v", err)
+						}
+					}
+					after = inj.Accesses()
+					if berr := db.Broken(); berr != nil {
+						t.Fatal(berr)
+					}
+					return snapshotRows(t, db, "ft"), walPath, before, after
+				}
+				ref, _, lo, hi := run(faultstore.NewInjector(faultstore.Schedule{}))
+				if want := []string{`1|"a"`, `1|"a"`}; rowsDiffer(want, ref) {
+					t.Fatalf("fault-free run gave %v, want %v", ref, want)
+				}
+				for k := lo; k < hi; k++ {
+					inj := faultstore.NewInjector(faultstore.Schedule{FailAt: []uint64{k}, MaxFaults: 1})
+					got, walPath, _, _ := run(inj)
+					if rowsDiffer(ref, got) {
+						t.Fatalf("fault at insert access %d left %v, want %v", k-lo, got, ref)
+					}
+					rec := MustOpen(Config{Key: key, Seed: 7, RowsPerBlock: r})
+					if err := rec.Recover(openTestLog(t, walPath, key, wal.Options{})); err != nil {
+						t.Fatal(err)
+					}
+					if got := snapshotRows(t, rec, "ft"); rowsDiffer(ref, got) {
+						t.Fatalf("fault at insert access %d: journal recovers %v, want %v", k-lo, got, ref)
+					}
+				}
+			})
+		}
 	}
 }

@@ -185,7 +185,7 @@ func (db *DB) runPlan(ec *execCtx, n plan.Node, b plan.Binder) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		count, err := db.updateRows(x.Table, pred, upd, engineRange(x.Key))
+		count, err := db.updateRows(x.Table, pred, upd, engineRange(x.Key), keepsKey(t, x.Sets))
 		if err != nil {
 			return nil, err
 		}
@@ -495,6 +495,18 @@ func planAggColumn(s *table.Schema, col string, names *plan.JoinNames) string {
 		return "r_" + col
 	}
 	return col
+}
+
+// keepsKey reports whether an UPDATE's SET list leaves the table's index
+// key column alone — decided from the statement, never from row data,
+// so the index route it selects is part of the public plan.
+func keepsKey(t *Table, sets []plan.SetExpr) bool {
+	for _, set := range sets {
+		if t.keyCol >= 0 && t.schema.ColIndex(set.Column) == t.keyCol {
+			return false
+		}
+	}
+	return true
 }
 
 // engineRange converts a plan key range back to the engine's.

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"oblidb/internal/exec"
 	"oblidb/internal/table"
 	"oblidb/internal/trace"
+	"oblidb/internal/wal"
 )
 
 // These tests check the engine's end-to-end guarantee (Appendix A): for
@@ -289,5 +291,75 @@ func TestManyQueriesSameTraceFingerprint(t *testing.T) {
 	}
 	if prints[0] != prints[1] || prints[1] != prints[2] {
 		t.Fatalf("identical queries produced different traces: %v", prints)
+	}
+}
+
+// indexedDMLTrace loads an index-only table with keys 0..63 (values from
+// val), optionally attaches a journal, and returns the store trace of a
+// key-ranged in-place UPDATE with a residual predicate, a key-moving
+// UPDATE, and a key-ranged DELETE.
+func indexedDMLTrace(t *testing.T, val func(k int64) int64, match int64, journal bool) *trace.Tracer {
+	t.Helper()
+	tr := trace.New()
+	db, err := Open(Config{Tracer: tr, Key: fixedKey, Seed: 7, RowsPerBlock: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := table.MustSchema(
+		table.Column{Name: "k", Kind: table.KindInt},
+		table.Column{Name: "v", Kind: table.KindInt},
+	)
+	if _, err := db.CreateTable("kv", s, TableOptions{Kind: KindIndexed, KeyColumn: "k", Capacity: 128}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]table.Row, 64)
+	for i := range rows {
+		rows[i] = table.Row{table.Int(int64(i)), table.Int(val(int64(i)))}
+	}
+	if err := db.BulkLoad("kv", rows); err != nil {
+		t.Fatal(err)
+	}
+	if journal {
+		l := openTestLog(t, filepath.Join(t.TempDir(), "kv.wal"), fixedKey, wal.Options{})
+		if err := db.AttachWAL(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Reset()
+	if _, err := updateKeepingKey(db, "kv",
+		func(r table.Row) bool { return r[1].AsInt() == match },
+		func(r table.Row) table.Row { r[1] = table.Int(r[1].AsInt() + 1); return r }, Point(17)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Update("kv", nil,
+		func(r table.Row) table.Row { r[0] = table.Int(100); return r }, Point(30)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Delete("kv", nil, Point(18)); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestIndexedDMLTraceSameWithJournal pins that the journal adds no store
+// accesses to indexed DML: the pre-images come from the index walk the
+// statement makes anyway, not from a scan of its own.
+func TestIndexedDMLTraceSameWithJournal(t *testing.T) {
+	val := func(k int64) int64 { return k % 7 }
+	plain := indexedDMLTrace(t, val, 3, false)
+	journaled := indexedDMLTrace(t, val, 3, true)
+	if d := trace.Diff(plain, journaled); d != "" {
+		t.Fatalf("journal changed the indexed DML trace: %s", d)
+	}
+}
+
+// TestIndexedPointUpdateTraceOblivious pins that a key-ranged in-place
+// UPDATE's trace does not depend on the data or on whether its residual
+// predicate matched: rows it rejects are rewritten unchanged.
+func TestIndexedPointUpdateTraceOblivious(t *testing.T) {
+	a := indexedDMLTrace(t, func(k int64) int64 { return 5 }, 5, true)      // k = 17 matches
+	b := indexedDMLTrace(t, func(k int64) int64 { return 2 * k }, -1, true) // nothing matches
+	if d := trace.Diff(a, b); d != "" {
+		t.Fatalf("in-place update trace depends on data: %s", d)
 	}
 }

@@ -74,14 +74,22 @@ func (db *DB) checkpointLocked() error {
 			if err := db.wal.AppendCreate(db.tableDef(t)); err != nil {
 				return err
 			}
-			rows, err := db.collectMatching(t, table.All)
+			appendRow := func(r table.Row) error {
+				return db.wal.Append(wal.OpInsert, t.name, t.schema, r)
+			}
+			var err error
+			if t.flat != nil {
+				err = t.flat.Scan(func(_ int, r table.Row, used bool) error {
+					if !used {
+						return nil
+					}
+					return appendRow(r)
+				})
+			} else {
+				err = t.index.ScanRaw(appendRow)
+			}
 			if err != nil {
 				return err
-			}
-			for _, r := range rows {
-				if err := db.wal.Append(wal.OpInsert, t.name, t.schema, r); err != nil {
-					return err
-				}
 			}
 		}
 		return nil
@@ -227,30 +235,71 @@ func (db *DB) rollbackTo(walMark, undoMark int) error {
 type undoOp uint8
 
 const (
-	// undoInsert removes the rows in post (recorded before the insert
-	// applied, so removal tolerates rows the failed pass never wrote).
-	undoInsert undoOp = iota
-	// undoDelete re-inserts the rows in pre.
-	undoDelete
-	// undoUpdate removes each post row and re-inserts its pre image.
-	undoUpdate
+	// undoRows reverses row changes: see undoRec.
+	undoRows undoOp = iota
 	// undoCreate drops the named table.
 	undoCreate
 )
 
 // undoRec is one entry of the in-memory undo log, recorded by mutation
 // bodies so a failed statement (or an explicit ROLLBACK) restores the
-// engine to the state the durable journal describes.
+// engine to the state the durable journal describes. For row changes it
+// holds, per representation, the rows the statement added and removed.
+// Bodies record a change once the step that made it landed — each flat
+// block write and each index operation is all-or-nothing under store
+// faults — so the record describes exactly what happened, however far
+// a failed pass got. (BulkLoad alone records its rows before it loads:
+// the table was empty, so removal can only hit rows of the load, and it
+// tolerates one that never landed.)
+//
+// Replay removes one row equal to each added row and re-inserts each
+// removed row. Rows are interchangeable with their equals, so this
+// restores each representation's row multiset exactly. The seed instead
+// cleared every pre- and post-image of an UPDATE by value, assuming
+// each live row equalled exactly one of them; an untouched row equal to
+// a post-image broke that and was dropped.
 type undoRec struct {
-	op        undoOp
-	table     string
-	pre, post []table.Row
+	op    undoOp
+	table string
+	flat  rowDelta
+	index rowDelta
+}
+
+// rowDelta is the change a statement made to one representation.
+type rowDelta struct {
+	added, removed []table.Row
+}
+
+// stmtUndo collects one statement's undo record. done appends it to
+// the log on every return path: the rollback that reads it runs after
+// the body returns. Without tracking it records nothing.
+type stmtUndo struct {
+	undoRec
+	db    *DB
+	track bool
+}
+
+func (db *DB) undoFor(t *Table) *stmtUndo {
+	return &stmtUndo{undoRec: undoRec{table: t.name}, db: db, track: db.trackingMutations()}
+}
+
+// add appends a copy of r to list when tracking.
+func (b *stmtUndo) add(list []table.Row, r table.Row) []table.Row {
+	if !b.track {
+		return list
+	}
+	return append(list, r.Clone())
+}
+
+func (b *stmtUndo) done() {
+	if b.track {
+		b.db.undo = append(b.db.undo, b.undoRec)
+	}
 }
 
 // applyUndo reverses one undo record.
 func (db *DB) applyUndo(r undoRec) error {
-	switch r.op {
-	case undoCreate:
+	if r.op == undoCreate {
 		t, ok := db.tables[strings.ToLower(r.table)]
 		if !ok {
 			return nil
@@ -266,44 +315,26 @@ func (db *DB) applyUndo(r undoRec) error {
 	if err != nil {
 		return err
 	}
-	switch r.op {
-	case undoInsert:
-		for _, row := range r.post {
-			if err := db.removeOneRow(t, row); err != nil {
+	if t.flat != nil {
+		for _, row := range r.flat.added {
+			if err := removeFlatRow(t, row); err != nil {
 				return err
 			}
 		}
-	case undoDelete:
-		// The pass may have removed any subset of pre. Remove whatever
-		// copies remain (tolerating absence), then reinsert the full
-		// pre multiset — the result is exactly pre regardless of how far
-		// the failed pass got.
-		for _, row := range r.pre {
-			if err := db.removeOneRow(t, row); err != nil {
+		for _, row := range r.flat.removed {
+			if err := db.insertFlat(t, row); err != nil {
 				return err
 			}
 		}
-		for _, row := range r.pre {
-			if err := db.applyInsert(t, row); err != nil {
+	}
+	if t.index != nil {
+		for _, row := range r.index.added {
+			if err := removeIndexRow(t, row); err != nil {
 				return err
 			}
 		}
-	case undoUpdate:
-		// The pass may have rewritten any subset of pre into post. Clear
-		// both images (each row is present as exactly one of the two),
-		// then reinsert the pre multiset.
-		for i := range r.post {
-			if err := db.removeOneRow(t, r.post[i]); err != nil {
-				return err
-			}
-		}
-		for i := range r.pre {
-			if err := db.removeOneRow(t, r.pre[i]); err != nil {
-				return err
-			}
-		}
-		for i := range r.pre {
-			if err := db.applyInsert(t, r.pre[i]); err != nil {
+		for _, row := range r.index.removed {
+			if err := t.index.Insert(row); err != nil {
 				return err
 			}
 		}
@@ -311,28 +342,38 @@ func (db *DB) applyUndo(r undoRec) error {
 	return nil
 }
 
-// removeOneRow deletes at most one row equal to row from each
-// representation. Absence is not an error: undoInsert records are
-// written before the insert applies, so the row may never have landed.
-func (db *DB) removeOneRow(t *Table, row table.Row) error {
-	if t.flat != nil {
-		done := false
-		if _, err := t.flat.Delete(func(r table.Row) bool {
-			if done || !rowsEqual(r, row) {
-				return false
-			}
-			done = true
-			return true
-		}); err != nil {
-			return err
+// removeFlatRow deletes at most one row equal to row from the flat copy.
+// Absence is not an error: a BulkLoad's undo is recorded before it
+// loads, so the row may never have landed.
+func removeFlatRow(t *Table, row table.Row) error {
+	done := false
+	_, err := t.flat.Delete(func(r table.Row) bool {
+		if done || !rowsEqual(r, row) {
+			return false
 		}
-	}
-	if t.index != nil {
-		if _, err := t.index.Delete(row[t.keyCol].AsInt()); err != nil {
-			return err
+		done = true
+		return true
+	})
+	return err
+}
+
+// removeIndexRow deletes one index entry whose whole row equals row —
+// not merely the first entry of its key, which with duplicate keys may
+// be another row. Absence is not an error (see removeFlatRow).
+func removeIndexRow(t *Table, row table.Row) error {
+	k := row[t.keyCol].AsInt()
+	var id uint32
+	found := false
+	if _, err := t.index.RangeScanIDs(k, k, func(rid uint32, r table.Row) error {
+		if !found && rowsEqual(r, row) {
+			id, found = rid, true
 		}
+		return nil
+	}); err != nil || !found {
+		return err
 	}
-	return nil
+	_, err := t.index.DeleteRow(k, id)
+	return err
 }
 
 // Recover rebuilds this database from a journal, standard redo-recovery

@@ -81,34 +81,50 @@ type Generator struct {
 	nextK int64
 	rows0 int // live t0 rows (bounds delete/insert churn)
 	rows1 int
+
+	// KeyedDML draws from its own stream and moves rows to keys of its
+	// own, above any key Next inserts, so interleaving it leaves Next's
+	// draws and keys as they were.
+	krng   *rand.Rand
+	movedK int64
 }
+
+// movedKeyBase is the first key a key-moving KeyedDML assigns.
+const movedKeyBase = 1 << 20
 
 // NewGenerator seeds a generator.
 func NewGenerator(seed uint64) *Generator {
-	return &Generator{rng: rand.New(rand.NewPCG(seed, 0x5eed))}
+	return &Generator{
+		rng:    rand.New(rand.NewPCG(seed, 0x5eed)),
+		krng:   rand.New(rand.NewPCG(seed, 0x6b6579)),
+		movedK: movedKeyBase,
+	}
 }
 
-func (g *Generator) pred0() pred {
-	switch g.rng.IntN(6) {
+func (g *Generator) pred0() pred { return randPred(g.rng) }
+
+// randPred draws a predicate over t0 from rng.
+func randPred(rng *rand.Rand) pred {
+	switch rng.IntN(6) {
 	case 0:
-		c := int64(g.rng.IntN(40) - 20)
+		c := int64(rng.IntN(40) - 20)
 		return pred{fmt.Sprintf("v < %d", c), func(_, v int64, _ string) bool { return v < c }}
 	case 1:
-		c := int64(g.rng.IntN(40) - 20)
+		c := int64(rng.IntN(40) - 20)
 		return pred{fmt.Sprintf("v >= %d", c), func(_, v int64, _ string) bool { return v >= c }}
 	case 2:
-		m := int64(g.rng.IntN(4) + 2)
-		r := g.rng.Int64N(m)
+		m := int64(rng.IntN(4) + 2)
+		r := rng.Int64N(m)
 		return pred{fmt.Sprintf("k %% %d = %d", m, r), func(k, _ int64, _ string) bool { return k%m == r }}
 	case 3:
-		c := int64(g.rng.IntN(40) - 20)
+		c := int64(rng.IntN(40) - 20)
 		return pred{fmt.Sprintf("NOT v = %d", c), func(_, v int64, _ string) bool { return v != c }}
 	case 4:
-		s := g.genStr()
+		s := fmt.Sprintf("s%d", rng.IntN(7))
 		return pred{fmt.Sprintf("s = '%s'", s), func(_, _ int64, have string) bool { return have == s }}
 	default:
-		c := int64(g.rng.IntN(40) - 20)
-		m := int64(g.rng.IntN(3) + 2)
+		c := int64(rng.IntN(40) - 20)
+		m := int64(rng.IntN(3) + 2)
 		return pred{fmt.Sprintf("(v < %d) OR (k %% %d = 0)", c, m),
 			func(k, v int64, _ string) bool { return v < c || k%m == 0 }}
 	}
@@ -220,6 +236,74 @@ func (g *Generator) update0() Op {
 			}
 			return nil
 		},
+	}
+}
+
+// KeyedDML generates an UPDATE or DELETE on t0 narrowed by a literal
+// range on k — a point (k = c) or a span (k >= lo AND k <= hi) — with
+// or without a residual predicate, so the engines' key-ranged DML paths
+// are diffed; Next's DML never narrows by key. The key-moving UPDATE
+// shape targets a point and moves the row to a fresh key, keeping t0.k
+// unique for the joins and orderLimit0.
+func (g *Generator) KeyedDML() Op {
+	rng := g.krng
+	lo := rng.Int64N(g.nextK + 1)
+	hi := lo
+	where := fmt.Sprintf("k = %d", lo)
+	point := rng.IntN(2) == 0
+	if !point {
+		hi = lo + rng.Int64N(8)
+		where = fmt.Sprintf("k >= %d AND k <= %d", lo, hi)
+	}
+	rest := pred{fn: func(int64, int64, string) bool { return true }}
+	if rng.IntN(2) == 0 {
+		rest = randPred(rng)
+		where += " AND (" + rest.sql + ")"
+	}
+	match := func(k, v int64, s string) bool { return k >= lo && k <= hi && rest.fn(k, v, s) }
+	switch {
+	case rng.IntN(3) == 0:
+		return Op{
+			SQL: "DELETE FROM t0 WHERE " + where,
+			Ref: func(r *Ref) *RefResult {
+				kept := r.t0.Rows[:0]
+				for _, row := range r.t0.Rows {
+					if !match(row[0].AsInt(), row[1].AsInt(), row[2].AsString()) {
+						kept = append(kept, row)
+					}
+				}
+				g.rows0 -= len(r.t0.Rows) - len(kept)
+				r.t0.Rows = kept
+				return nil
+			},
+		}
+	case point && rng.IntN(2) == 0:
+		nk := g.movedK
+		g.movedK++
+		return Op{
+			SQL: fmt.Sprintf("UPDATE t0 SET k = %d WHERE %s", nk, where),
+			Ref: func(r *Ref) *RefResult {
+				for i, row := range r.t0.Rows {
+					if match(row[0].AsInt(), row[1].AsInt(), row[2].AsString()) {
+						r.t0.Rows[i] = table.Row{table.Int(nk), row[1], row[2]}
+					}
+				}
+				return nil
+			},
+		}
+	default:
+		c := int64(rng.IntN(9) - 4)
+		return Op{
+			SQL: fmt.Sprintf("UPDATE t0 SET v = v + %d WHERE %s", c, where),
+			Ref: func(r *Ref) *RefResult {
+				for i, row := range r.t0.Rows {
+					if match(row[0].AsInt(), row[1].AsInt(), row[2].AsString()) {
+						r.t0.Rows[i] = table.Row{row[0], table.Int(row[1].AsInt() + c), row[2]}
+					}
+				}
+				return nil
+			},
+		}
 	}
 }
 

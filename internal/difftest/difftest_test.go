@@ -111,8 +111,11 @@ func TestGeneratorDeterministic(t *testing.T) {
 // access choice (flat scan vs. ORAM index) and the dual-write DML paths
 // are differentially checked against the reference at every packing
 // R ∈ {1, 4, 16}, plus an index-only engine where the ORAM B+ tree is
-// the sole representation. Every fourth DML statement additionally runs
-// through BEGIN/COMMIT, exercising the deferred-transaction path.
+// the sole representation. After every second statement comes a
+// key-ranged UPDATE or DELETE (Generator.KeyedDML, drawn from its own
+// stream, so the Next statements are unchanged), covering the in-place
+// and key-moving index routes. Every fourth DML statement additionally
+// runs through BEGIN/COMMIT, exercising the deferred-transaction path.
 func TestDifferentialSQLWorkloadsIndexed(t *testing.T) {
 	seeds := []uint64{3, 11}
 	opsPerSeed := 60
@@ -157,8 +160,7 @@ func TestDifferentialSQLWorkloadsIndexed(t *testing.T) {
 
 			ref := NewRef()
 			g := NewGenerator(seed)
-			for i := 0; i < opsPerSeed; i++ {
-				op := g.Next()
+			run := func(label string, op Op, inTx bool) {
 				want := op.Ref(ref)
 				var wantCanon string
 				if want != nil {
@@ -167,7 +169,7 @@ func TestDifferentialSQLWorkloadsIndexed(t *testing.T) {
 				for _, e := range engines {
 					var res *core.Result
 					var err error
-					if want == nil && i%4 == 0 {
+					if want == nil && inTx {
 						// DML through an explicit transaction: buffer, then
 						// commit the one-statement batch atomically.
 						res, err = execInTx(e.x, &e.tx, op.SQL)
@@ -175,15 +177,21 @@ func TestDifferentialSQLWorkloadsIndexed(t *testing.T) {
 						res, err = e.x.Execute(op.SQL)
 					}
 					if err != nil {
-						t.Fatalf("op %d on %s: %s: %v", i, e.name, op.SQL, err)
+						t.Fatalf("%s on %s: %s: %v", label, e.name, op.SQL, err)
 					}
 					if want == nil {
 						continue
 					}
 					if got := Canon(res.Cols, res.Rows); got != wantCanon {
-						t.Fatalf("op %d diverged on %s:\n  %s\n engine:\n%s\n reference:\n%s",
-							i, e.name, op.SQL, got, wantCanon)
+						t.Fatalf("%s diverged on %s:\n  %s\n engine:\n%s\n reference:\n%s",
+							label, e.name, op.SQL, got, wantCanon)
 					}
+				}
+			}
+			for i := 0; i < opsPerSeed; i++ {
+				run(fmt.Sprintf("op %d", i), g.Next(), i%4 == 0)
+				if i%2 == 1 {
+					run(fmt.Sprintf("keyed op after %d", i), g.KeyedDML(), i%4 == 3)
 				}
 			}
 		})

@@ -72,11 +72,11 @@ func TestAttackBucketRollback(t *testing.T) {
 	// ciphertexts back to the store (a lone update can park entirely in
 	// the enclave stash, leaving nothing for the snapshot to roll back).
 	for k := int64(5); k < 10; k++ {
-		if ok, err := tbl.UpdateByKey(k, func(r table.Row) table.Row {
+		if n, err := tbl.RewriteRange(k, k, func(r table.Row) (table.Row, error) {
 			r[1] = table.Str("v2")
-			return r
-		}); err != nil || !ok {
-			t.Fatalf("update %d: ok=%v err=%v", k, ok, err)
+			return r, nil
+		}); err != nil || n != 1 {
+			t.Fatalf("update %d: rewrote %d err=%v", k, n, err)
 		}
 	}
 	for i, raw := range snapshot {

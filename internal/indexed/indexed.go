@@ -130,6 +130,7 @@ type Table struct {
 	arenaN  int
 	path    []pathEntry
 	dirty   dirtySet
+	saved   treeState // mutate's rollback copy
 }
 
 // Options tunes indexed-table construction.

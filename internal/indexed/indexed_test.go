@@ -179,6 +179,8 @@ func testModel(t *testing.T, r int) {
 	}
 }
 
+// TestUpdateByKey is a single-key in-place update, which RewriteRange
+// over [k, k] performs.
 func TestUpdateByKey(t *testing.T) {
 	tbl := newTable(t, 64, Options{RowsPerBlock: 4}, nil)
 	for i := int64(0); i < 20; i++ {
@@ -186,25 +188,25 @@ func TestUpdateByKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ok, err := tbl.UpdateByKey(7, func(r table.Row) table.Row {
+	n, err := tbl.RewriteRange(7, 7, func(r table.Row) (table.Row, error) {
 		r[1] = table.Str("updated")
-		return r
+		return r, nil
 	})
-	if err != nil || !ok {
-		t.Fatalf("update: ok=%v err=%v", ok, err)
+	if err != nil || n != 1 {
+		t.Fatalf("update: rewrote %d err=%v", n, err)
 	}
 	row, _, err := tbl.Lookup(7)
 	if err != nil || row[1].AsString() != "updated" {
 		t.Fatalf("after update: row=%v err=%v", row, err)
 	}
-	if _, err := tbl.UpdateByKey(7, func(r table.Row) table.Row {
+	if _, err := tbl.RewriteRange(7, 7, func(r table.Row) (table.Row, error) {
 		r[0] = table.Int(8)
-		return r
+		return r, nil
 	}); err == nil {
 		t.Fatal("key change accepted")
 	}
-	if ok, err := tbl.UpdateByKey(99, func(r table.Row) table.Row { return r }); err != nil || ok {
-		t.Fatalf("update miss: ok=%v err=%v", ok, err)
+	if n, err := tbl.RewriteRange(99, 99, func(r table.Row) (table.Row, error) { return r, nil }); err != nil || n != 0 {
+		t.Fatalf("update miss: rewrote %d err=%v", n, err)
 	}
 }
 
@@ -424,7 +426,8 @@ func TestBulkLoadEdgeCases(t *testing.T) {
 
 // TestLookupEmptyTable is the height-0 regression: every point
 // operation on an empty table is a miss, not an error, and still pays
-// its operation's full padding target.
+// its operation's full padding target. RewriteRange, like RangeScan,
+// pays for the segment it scans, which here is empty.
 func TestLookupEmptyTable(t *testing.T) {
 	forPackings(t, func(t *testing.T, r int) {
 		tbl := newTable(t, 8, Options{RowsPerBlock: r}, nil)
@@ -441,8 +444,8 @@ func TestLookupEmptyTable(t *testing.T) {
 		check("Lookup", ok, err, lookupTarget(0))
 		ok, err = tbl.LookupInto(1, make(table.Row, 2))
 		check("LookupInto", ok, err, lookupTarget(0))
-		ok, err = tbl.UpdateByKey(1, func(r table.Row) table.Row { return r })
-		check("UpdateByKey", ok, err, updateTarget(0))
+		n, err := tbl.RewriteRange(1, 1, func(r table.Row) (table.Row, error) { return r, nil })
+		check("RewriteRange", n != 0, err, 0)
 		ok, err = tbl.Delete(1)
 		check("Delete", ok, err, deleteTarget(0))
 		if n, err := tbl.RangeScan(minInt64, maxInt64, func(table.Row) error { return nil }); n != 0 || err != nil {
@@ -547,8 +550,15 @@ func TestFixedAccessCounts(t *testing.T) {
 				check("lookup", k, err, lookupTarget(h))
 				_, err = tbl.LookupInto(k, dst)
 				check("lookupInto", k, err, lookupTarget(h))
-				_, err = tbl.UpdateByKey(k, func(r table.Row) table.Row { return r })
-				check("update", k, err, updateTarget(h))
+				// An in-place update costs its range's scan plus one
+				// write per entry (TestRewriteRangeAccessCount).
+				m, err := tbl.RangeScan(k, k, func(table.Row) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				scan := tbl.ops
+				_, err = tbl.RewriteRange(k, k, func(r table.Row) (table.Row, error) { return r, nil })
+				check("update", k, err, scan+m)
 			}
 
 			// Delete everything, each hit followed by a miss, so merges

@@ -190,7 +190,7 @@ func insertTarget(hPre, hPost int) int {
 }
 
 // Insert adds a row, padding to the worst-case access count so splits are
-// invisible.
+// invisible. It is all-or-nothing (see mutate).
 func (t *Table) Insert(r table.Row) error {
 	if err := t.schema.ValidateRow(r); err != nil {
 		return err
@@ -198,13 +198,47 @@ func (t *Table) Insert(r table.Row) error {
 	if t.rows >= t.maxRows {
 		return fmt.Errorf("indexed: table %q is full (%d rows)", t.name, t.maxRows)
 	}
+	return t.mutate(func() error {
+		hPre := t.height
+		if err := t.insertInner(r); err != nil {
+			return err
+		}
+		t.rows++
+		return t.padTo(insertTarget(hPre, t.height))
+	})
+}
+
+// treeState is the enclave-side bookkeeping a tree mutation changes.
+type treeState struct {
+	root, nextRow, nextNode uint32
+	height, rows            int
+	freeRows, freeNodes     []uint32
+}
+
+// mutate runs one padded tree mutation as an ORAM batch. On any error —
+// a store fault at any of its accesses included — the batch aborts and
+// the bookkeeping returns to its state before the call, so the table is
+// exactly as it was: the operation either happened or did not. Without
+// this, a fault between two node writes left a torn tree that no
+// statement-level undo could repair.
+func (t *Table) mutate(op func() error) error {
 	t.beginOp()
-	hPre := t.height
-	if err := t.insertInner(r); err != nil {
+	s := &t.saved
+	s.root, s.nextRow, s.nextNode = t.root, t.nextRow, t.nextNode
+	s.height, s.rows = t.height, t.rows
+	s.freeRows = append(s.freeRows[:0], t.freeRows...)
+	s.freeNodes = append(s.freeNodes[:0], t.freeNodes...)
+	t.o.Begin()
+	if err := op(); err != nil {
+		t.o.Abort()
+		t.root, t.nextRow, t.nextNode = s.root, s.nextRow, s.nextNode
+		t.height, t.rows = s.height, s.rows
+		t.freeRows = append(t.freeRows[:0], s.freeRows...)
+		t.freeNodes = append(t.freeNodes[:0], s.freeNodes...)
 		return err
 	}
-	t.rows++
-	return t.padTo(insertTarget(hPre, t.height))
+	t.o.Commit()
+	return nil
 }
 
 func (t *Table) insertInner(r table.Row) error {
@@ -356,31 +390,47 @@ func deleteTarget(h int) int { return 5*h + 4 }
 
 // Delete removes the first row whose key equals key, padding to the
 // worst-case access count so merges and borrows are invisible. It reports
-// whether a row was deleted.
-func (t *Table) Delete(key int64) (bool, error) {
-	t.beginOp()
-	hPre := t.height
-	ok, err := t.deleteInner(key)
-	if err != nil {
-		return false, err
-	}
-	if ok {
-		t.rows--
-	}
-	return ok, t.padTo(deleteTarget(hPre))
+// whether a row was deleted. With duplicate keys, use DeleteRow to pick
+// the row.
+func (t *Table) Delete(key int64) (bool, error) { return t.deleteEntry(key, -1) }
+
+// DeleteRow removes exactly the entry (key, rowID) — the row a scan
+// handed out with that rowID, not merely the first of its key — with
+// Delete's padding and all-or-nothing behaviour. It reports whether the
+// entry existed.
+func (t *Table) DeleteRow(key int64, rowID uint32) (bool, error) {
+	return t.deleteEntry(key, int64(rowID))
 }
 
-func (t *Table) deleteInner(key int64) (bool, error) {
+// deleteEntry deletes (key, seq), or the first entry of key when seq is
+// -1.
+func (t *Table) deleteEntry(key, seq int64) (bool, error) {
+	var ok bool
+	err := t.mutate(func() error {
+		hPre := t.height
+		var err error
+		if ok, err = t.deleteInner(key, seq); err != nil {
+			return err
+		}
+		if ok {
+			t.rows--
+		}
+		return t.padTo(deleteTarget(hPre))
+	})
+	return ok && err == nil, err
+}
+
+func (t *Table) deleteInner(key, seq int64) (bool, error) {
 	if t.height == 0 {
 		return false, nil
 	}
-	path, err := t.descend(key, -1)
+	path, err := t.descend(key, seq)
 	if err != nil {
 		return false, err
 	}
 	leaf := path[len(path)-1].nd
-	i := lowerBound(leaf, key, -1)
-	if i == leaf.n {
+	i := lowerBound(leaf, key, seq)
+	if seq < 0 && i == leaf.n {
 		// First candidate lives in the next leaf: peek at it, then
 		// re-descend with its exact composite key so the deletion path
 		// (needed for rebalancing) is correct.
@@ -394,7 +444,7 @@ func (t *Table) deleteInner(key int64) (bool, error) {
 		if nxt.n == 0 || nxt.keys[0] != key {
 			return false, nil
 		}
-		seq := int64(nxt.ptrs[0])
+		seq = int64(nxt.ptrs[0])
 		path, err = t.descend(key, seq)
 		if err != nil {
 			return false, err
@@ -402,7 +452,7 @@ func (t *Table) deleteInner(key int64) (bool, error) {
 		leaf = path[len(path)-1].nd
 		i = lowerBound(leaf, key, seq)
 	}
-	if i >= leaf.n || leaf.keys[i] != key {
+	if i >= leaf.n || leaf.keys[i] != key || (seq >= 0 && int64(leaf.ptrs[i]) != seq) {
 		return false, nil
 	}
 	rowID := leaf.ptrs[i]
@@ -588,50 +638,69 @@ func mergeNodes(lo, hi, parent *node, sepIdx int) {
 	lo.n += hi.n + 1
 }
 
-// updateTarget is the fixed access count of an in-place update at height
-// h: a lookup plus one record-block write.
-func updateTarget(h int) int { return lookupTarget(h) + 1 }
-
-// UpdateByKey rewrites the first row whose key equals key. The updater
-// must not change the key column (use Delete+Insert for key changes). The
-// access count is fixed for the tree's height.
-func (t *Table) UpdateByKey(key int64, upd table.Updater) (bool, error) {
-	t.beginOp()
-	ok, err := t.updateInner(key, upd)
-	if err != nil {
-		return false, err
-	}
-	return ok, t.padTo(updateTarget(t.height))
-}
-
-func (t *Table) updateInner(key int64, upd table.Updater) (bool, error) {
-	rowID, ok, err := t.lookupEntry(key)
-	if err != nil || !ok {
-		return false, err
-	}
-	row, err := t.readRecord(rowID)
-	if err != nil {
-		return false, err
-	}
-	newRow := upd(row)
-	if err := t.schema.ValidateRow(newRow); err != nil {
-		return false, err
-	}
-	if newRow[t.keyCol].AsInt() != key {
-		return false, fmt.Errorf("indexed: UpdateByKey must not change the key column")
-	}
-	return true, t.writeRecord(rowID, newRow)
-}
-
 // RangeScan visits every row with lo <= key <= hi in key order. Its access
 // count is height + (leaves touched) + (records read); the paper counts
 // this scanned-segment size as part of the leaked intermediate sizes
 // (§4.1, "Selection over Indexes").
 func (t *Table) RangeScan(lo, hi int64, fn func(table.Row) error) (int, error) {
+	return t.RangeScanIDs(lo, hi, func(_ uint32, r table.Row) error { return fn(r) })
+}
+
+// RangeScanIDs is RangeScan also handing fn each row's rowID, which
+// DeleteRow takes to remove exactly that row.
+func (t *Table) RangeScanIDs(lo, hi int64, fn func(rowID uint32, r table.Row) error) (int, error) {
+	return t.walkRange(lo, hi, func(rowID uint32) error {
+		row, err := t.readRecord(rowID)
+		if err != nil {
+			return err
+		}
+		return fn(rowID, row)
+	})
+}
+
+// RewriteRange rewrites, in key order, every row with lo <= key <= hi
+// where it lies: for each in-range entry one record read, fn, and one
+// record write of fn's result at the entry's rowID. fn must keep the key
+// column; a row fn leaves alone is written back unchanged. The access
+// count is therefore
+//
+//	h + hops + 2·m
+//
+// for tree height h, m in-range entries, and hops leaf-chain steps —
+// RangeScan's scanned segment plus one write per entry. It depends on
+// the segment's size (§4.1) and never on which rows fn changed. It
+// returns the number of entries rewritten; on error exactly those writes
+// landed, since each is one fault-atomic ORAM access.
+func (t *Table) RewriteRange(lo, hi int64, fn func(r table.Row) (table.Row, error)) (int, error) {
+	return t.walkRange(lo, hi, func(rowID uint32) error {
+		row, err := t.readRecord(rowID)
+		if err != nil {
+			return err
+		}
+		key := row[t.keyCol].AsInt()
+		out, err := fn(row)
+		if err != nil {
+			return err
+		}
+		if err := t.schema.ValidateRow(out); err != nil {
+			return err
+		}
+		if out[t.keyCol].AsInt() != key {
+			return fmt.Errorf("indexed: RewriteRange must not change the key column")
+		}
+		return t.writeRecord(rowID, out)
+	})
+}
+
+// walkRange descends to lo and follows the leaf chain, calling visit
+// with the rowID of every entry with lo <= key <= hi in key order. It
+// costs h node reads plus one per leaf hop, on top of visit's accesses,
+// and returns how many visits succeeded.
+func (t *Table) walkRange(lo, hi int64, visit func(rowID uint32) error) (int, error) {
+	t.beginOp()
 	if t.height == 0 || lo > hi {
 		return 0, nil
 	}
-	t.beginOp()
 	path, err := t.descend(lo, -1)
 	if err != nil {
 		return 0, err
@@ -647,11 +716,7 @@ func (t *Table) RangeScan(lo, hi int64, fn func(table.Row) error) (int, error) {
 			if leaf.keys[i] > hi {
 				return count, nil
 			}
-			row, err := t.readRecord(leaf.ptrs[i])
-			if err != nil {
-				return count, err
-			}
-			if err := fn(row); err != nil {
+			if err := visit(leaf.ptrs[i]); err != nil {
 				return count, err
 			}
 			count++
@@ -673,6 +738,11 @@ func (t *Table) RangeScan(lo, hi int64, fn func(table.Row) error) (int, error) {
 // fallback; tree nodes, dummy slots, and ORAM slack all look alike to the
 // adversary.
 func (t *Table) ScanRaw(fn func(table.Row) error) error {
+	return t.ScanRawIDs(func(_ uint32, r table.Row) error { return fn(r) })
+}
+
+// ScanRawIDs is ScanRaw also handing fn each row's rowID.
+func (t *Table) ScanRawIDs(fn func(rowID uint32, r table.Row) error) error {
 	return t.o.RawScan(func(id int, data []byte) error {
 		if id >= t.dataBlocks || data[0] != kindRecord {
 			return nil
@@ -685,7 +755,7 @@ func (t *Table) ScanRaw(fn func(table.Row) error) error {
 			if !used {
 				continue
 			}
-			if err := fn(row); err != nil {
+			if err := fn(uint32(id*t.rpb+j), row); err != nil {
 				return err
 			}
 		}

@@ -113,6 +113,8 @@ func TestRangeScanOrdered(t *testing.T) {
 	}
 }
 
+// TestUpdateByKey is a single-key in-place update, which RewriteRange
+// over [k, k] performs.
 func TestUpdateByKey(t *testing.T) {
 	tree := newTree(t, 32)
 	for i := int64(0); i < 10; i++ {
@@ -120,23 +122,23 @@ func TestUpdateByKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ok, err := tree.UpdateByKey(4, func(r table.Row) table.Row {
+	n, err := tree.RewriteRange(4, 4, func(r table.Row) (table.Row, error) {
 		r[1] = table.Str("updated")
-		return r
+		return r, nil
 	})
-	if err != nil || !ok {
-		t.Fatalf("update: ok=%v err=%v", ok, err)
+	if err != nil || n != 1 {
+		t.Fatalf("update: rewrote %d err=%v", n, err)
 	}
 	row, _, _ := tree.Lookup(4)
 	if row[1].AsString() != "updated" {
 		t.Fatalf("update not applied: %v", row)
 	}
-	if ok, _ := tree.UpdateByKey(99, func(r table.Row) table.Row { return r }); ok {
+	if n, _ := tree.RewriteRange(99, 99, func(r table.Row) (table.Row, error) { return r, nil }); n != 0 {
 		t.Fatal("update of absent key reported success")
 	}
-	if _, err := tree.UpdateByKey(4, func(r table.Row) table.Row {
+	if _, err := tree.RewriteRange(4, 4, func(r table.Row) (table.Row, error) {
 		r[0] = table.Int(5)
-		return r
+		return r, nil
 	}); err == nil {
 		t.Fatal("key-changing update accepted")
 	}

@@ -52,6 +52,12 @@ type Ring struct {
 	slotAtBuf [RingSlots]uint32
 	dummyBuf  []byte   // DummyAccess result sink
 	free      [][]byte // recycled stash block buffers
+
+	// inBatch marks an open batch (see Begin); saved holds the
+	// pre-batch contents of every block it modified. Evictions wait
+	// until the batch closes, so each of those blocks stays in the stash.
+	inBatch bool
+	saved   map[uint32][]byte
 }
 
 // Ring ORAM parameters: Z real slots and S dummy slots per bucket, with a
@@ -314,12 +320,24 @@ func (r *Ring) DummyAccess() error {
 	return err
 }
 
+// access performs one logical operation. It is fault-atomic: an error
+// from the untrusted store leaves the logical contents unchanged and
+// the enclave metadata consistent with the store, so the caller may
+// retry or undo. The position map's new leaf is undone when the path
+// read fails, because the block may still sit in a bucket of its old
+// path. The scheduled eviction runs after the logical change, as in
+// the Ring ORAM paper, but its failure is not the access's (see
+// settle); an eviction still due from such a failure runs first, before
+// anything logical happens.
 func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []byte) ([]byte, error) {
 	if id < 0 || id >= r.capacity {
 		return nil, fmt.Errorf("oram: ring block id %d out of range [0,%d)", id, r.capacity)
 	}
 	if op == OpWrite && len(data) != r.blockSize {
 		return nil, fmt.Errorf("oram: ring write of %d bytes, block size %d", len(data), r.blockSize)
+	}
+	if err := r.evictDue(); err != nil {
+		return nil, err
 	}
 	newLeaf := uint32(r.rng.IntN(r.leaves))
 	oldLeaf, err := r.pos.getSet(id, newLeaf)
@@ -331,6 +349,9 @@ func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 	path := r.pathBuckets(int(oldLeaf))
 	for _, b := range path {
 		if err := r.readOneSlot(b, uint32(id)); err != nil {
+			if _, perr := r.pos.getSet(id, oldLeaf); perr != nil {
+				return nil, fmt.Errorf("oram: position map restore failed (%v) after: %v", perr, err)
+			}
 			return nil, err
 		}
 	}
@@ -340,6 +361,13 @@ func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 		entry = stashEntry{data: r.newBlockBuf()}
 	}
 	entry.leaf = newLeaf
+	if r.inBatch && (fn != nil || op == OpWrite) {
+		if _, ok := r.saved[uint32(id)]; !ok {
+			old := r.newBlockBuf()
+			copy(old, entry.data)
+			r.saved[uint32(id)] = old
+		}
+	}
 	switch {
 	case fn != nil:
 		entry.data = fn(entry.data)
@@ -350,19 +378,67 @@ func (r *Ring) access(op Op, id int, data []byte, fn func([]byte) []byte, dst []
 		copy(entry.data, data)
 	}
 	r.stash[uint32(id)] = entry
-	result := resultInto(dst, entry.data, r.blockSize)
-
-	// Scheduled eviction along the reverse-lexicographic path order.
 	r.accesses++
-	if r.accesses >= RingEvictRate {
-		r.accesses = 0
-		g := r.evictG
-		r.evictG = (r.evictG + 1) % r.leaves
-		if err := r.evictPath(bits.Reverse32(uint32(g)) >> (32 - (r.levels - 1)) % uint32(r.leaves)); err != nil {
-			return nil, err
-		}
-	}
+	result := resultInto(dst, entry.data, r.blockSize)
+	r.settle()
 	return result, nil
+}
+
+// evictDue runs the scheduled evictions (along the reverse-lexicographic
+// path order) that past accesses made due, unless a batch is open. A
+// failed eviction leaves the stash and buckets consistent — every block
+// is in the stash or in a slot whose write landed — and stays due.
+func (r *Ring) evictDue() error {
+	for !r.inBatch && r.accesses >= RingEvictRate {
+		g := r.evictG
+		if err := r.evictPath(bits.Reverse32(uint32(g)) >> (32 - (r.levels - 1)) % uint32(r.leaves)); err != nil {
+			return err
+		}
+		r.accesses -= RingEvictRate
+		r.evictG = (r.evictG + 1) % r.leaves
+	}
+	return nil
+}
+
+// settle runs the evictions due once an access or batch has made its
+// logical change. A store fault here is not that operation's failure:
+// the eviction stays due with the ORAM consistent, and the next access
+// runs it before doing anything else, reporting the fault if it
+// persists.
+func (r *Ring) settle() { _ = r.evictDue() }
+
+// Begin opens a batch: until Commit or Abort, accesses keep the
+// contents each modified block had before the batch, and scheduled
+// evictions wait, so every block the batch touched stays in the stash.
+// Abort can then put the old contents back without touching untrusted
+// memory, which makes a multi-access operation (an index insert or
+// delete) all-or-nothing under store faults. Commit runs the deferred
+// evictions; after Abort they run at the next access.
+func (r *Ring) Begin() {
+	if r.saved == nil {
+		r.saved = make(map[uint32][]byte)
+	}
+	r.inBatch = true
+}
+
+// Commit closes the batch, keeping its writes.
+func (r *Ring) Commit() {
+	r.endBatch(false)
+	r.settle()
+}
+
+// Abort closes the batch, restoring every block it modified.
+func (r *Ring) Abort() { r.endBatch(true) }
+
+func (r *Ring) endBatch(restore bool) {
+	for id, old := range r.saved {
+		if restore {
+			copy(r.stash[id].data, old)
+		}
+		r.free = append(r.free, old)
+		delete(r.saved, id)
+	}
+	r.inBatch = false
 }
 
 // readOneSlot reads exactly one slot of the bucket: the slot holding
@@ -451,25 +527,24 @@ func (r *Ring) writeBucket(bucket int, chosen []uint32) error {
 	for i, id := range chosen {
 		slotAt[perm[i]] = id + 1
 	}
+	// Metadata and stash change only once a slot's write has landed, so
+	// a failed write leaves its block in the stash.
 	for s := 0; s < RingSlots; s++ {
-		m.ids[s] = 0
-		m.used[s] = false
+		idPlus := slotAt[s]
 		payload := r.zeroBuf
-		var recycle []byte
-		if idPlus := slotAt[s]; idPlus != 0 {
-			id := idPlus - 1
-			entry := r.stash[id]
-			m.ids[s] = idPlus
-			m.leaf[s] = entry.leaf
-			payload = entry.data
-			recycle = entry.data
-			delete(r.stash, id)
+		if idPlus != 0 {
+			payload = r.stash[idPlus-1].data
 		}
 		if err := r.store.Write(bucket*RingSlots+s, payload); err != nil {
 			return err
 		}
-		if recycle != nil {
-			r.free = append(r.free, recycle)
+		m.ids[s] = idPlus
+		m.used[s] = false
+		if idPlus != 0 {
+			id := idPlus - 1
+			m.leaf[s] = r.stash[id].leaf
+			delete(r.stash, id)
+			r.free = append(r.free, payload)
 		}
 	}
 	return nil

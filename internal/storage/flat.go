@@ -193,7 +193,9 @@ func (f *Flat) encodeAt(plain []byte, j int, r table.Row, used bool) error {
 // block holding the first unused slot receives the real write (a
 // read-modify-write) and every other block a dummy write (a re-seal of
 // the data it already holds). One read and one write per block; leaks
-// only the table size and geometry.
+// only the table size and geometry. The row counts as inserted once its
+// block's write lands: if a later block's write fails, Insert returns
+// the error with the row in place and NumRows counting it.
 func (f *Flat) Insert(r table.Row) error {
 	if err := f.schema.ValidateRow(r); err != nil {
 		return err
@@ -203,6 +205,7 @@ func (f *Flat) Insert(r table.Row) error {
 		if err := f.readBlk(b); err != nil {
 			return err
 		}
+		slot := -1
 		if !inserted {
 			for j := 0; j < f.rpb; j++ {
 				if f.schema.UsedAt(f.blk, j) {
@@ -211,21 +214,24 @@ func (f *Flat) Insert(r table.Row) error {
 				if err := f.schema.EncodeRecordAt(f.blk, j, r); err != nil {
 					return err
 				}
-				inserted = true
-				if i := b*f.rpb + j; i >= f.appendAt {
-					f.appendAt = i + 1
-				}
+				slot = b*f.rpb + j
 				break
 			}
 		}
 		if err := f.store.Write(b, f.blk); err != nil {
 			return err
 		}
+		if slot >= 0 {
+			inserted = true
+			f.rows++
+			if slot >= f.appendAt {
+				f.appendAt = slot + 1
+			}
+		}
 	}
 	if !inserted {
 		return fmt.Errorf("storage: table %q is full (%d rows)", f.name, f.Capacity())
 	}
-	f.rows++
 	return nil
 }
 
@@ -261,7 +267,9 @@ func (f *Flat) InsertFast(r table.Row) error {
 // memory update in O(1) enclave space. pred and upd must be pure: both
 // passes evaluate them, so side-effecting or non-deterministic callbacks
 // would diverge between validation and write. It returns the number of
-// rows updated.
+// rows updated; on error, the rows of the blocks whose write landed —
+// each block's read-modify-write is all-or-nothing, so those are exactly
+// the first n matches in slot order.
 func (f *Flat) Update(pred table.Pred, upd table.Updater) (int, error) {
 	err := f.Scan(func(i int, row table.Row, used bool) error {
 		if !used || !pred(row) {
@@ -280,6 +288,7 @@ func (f *Flat) Update(pred table.Pred, upd table.Updater) (int, error) {
 	}
 	updated := 0
 	for b := 0; b < f.store.Len(); b++ {
+		inBlock := 0
 		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
 			if err := f.schema.DecodeBlockInto(f.dec, plain); err != nil {
 				return err
@@ -292,27 +301,31 @@ func (f *Flat) Update(pred table.Pred, upd table.Updater) (int, error) {
 				if err := f.schema.EncodeRecordAt(plain, j, upd(row.Clone())); err != nil {
 					return err
 				}
-				updated++
+				inBlock++
 			}
 			return nil
 		})
 		if err != nil {
 			return updated, err
 		}
+		updated += inBlock
 	}
 	return updated, nil
 }
 
 // Delete obliviously marks every row matching pred unused, overwriting
 // it with dummy data; every block gets exactly one read and one write
-// (its survivors re-encrypted). It returns the number of rows deleted.
+// (its survivors re-encrypted). It returns the number of rows deleted;
+// on error, the rows of the blocks whose write landed, which the row
+// count already reflects.
 func (f *Flat) Delete(pred table.Pred) (int, error) {
 	if f.dec == nil {
 		f.dec = f.schema.NewBlockBuf(f.rpb)
 	}
 	deleted := 0
-	for b := 0; b < f.store.Len(); b++ {
-		var err error
+	var err error
+	for b := 0; b < f.store.Len() && err == nil; b++ {
+		inBlock := 0
 		f.blk, err = f.store.RMW(b, f.blk, func(plain []byte) error {
 			if err := f.schema.DecodeBlockInto(f.dec, plain); err != nil {
 				return err
@@ -323,13 +336,13 @@ func (f *Flat) Delete(pred table.Pred) (int, error) {
 					if err := f.schema.EncodeDummyAt(plain, j); err != nil {
 						return err
 					}
-					deleted++
+					inBlock++
 				}
 			}
 			return nil
 		})
-		if err != nil {
-			return deleted, err
+		if err == nil {
+			deleted += inBlock
 		}
 	}
 	f.rows -= deleted
@@ -339,7 +352,7 @@ func (f *Flat) Delete(pred table.Pred) (int, error) {
 		// "with few deletions").
 		f.appendAt = f.Capacity()
 	}
-	return deleted, nil
+	return deleted, err
 }
 
 // Scan reads every block once in order, invoking fn inside the enclave
